@@ -71,8 +71,6 @@ func main() {
 		"column-band shards per network tick (0 = serial kernel, -1 = auto; capped so jobs*lanes*shards <= GOMAXPROCS)")
 	lanes := flag.Int("lanes", 1,
 		"seed replicas per run (-seed, -seed+1, …), lane-batched through one lockstep cycle loop; each replica is bit-identical to a solo run of its seed")
-	plan := flag.Bool("plan", true,
-		"submit the sweep through the lane-aware planner: replica batch width and shard count are auto-tuned from the jobs*lanes*shards <= GOMAXPROCS budget (results are bit-identical either way); -plan=false forces -lanes-wide batches and the exact -shards request")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none); expired runs become DNF rows")
 	retries := flag.Int("retries", 1, "extra attempts for transient DNFs (stall/timeout)")
 	idleSkip := flag.Bool("idle-skip", true,
@@ -114,17 +112,10 @@ func main() {
 	if nLanes < 1 {
 		nLanes = 1
 	}
-	// With the planner active the pool stays silent on lane width and
-	// shard count, so the per-batch plan fills them; -plan=false pins the
-	// old fixed-flag behaviour.
-	poolLanes, poolShards := 0, 0
-	if !*plan {
-		poolLanes, poolShards = nLanes, *shards
-	}
 	pool, err := runner.New(ctx, runner.Options{
 		Jobs:       *jobs,
-		Shards:     poolShards,
-		Lanes:      poolLanes,
+		Shards:     *shards,
+		Lanes:      nLanes,
 		RunTimeout: *runTimeout,
 		Retries:    *retries,
 	})
@@ -156,9 +147,6 @@ func main() {
 		}
 		cfg.NoIdleSkip = !*idleSkip
 		cfg = cfg.WithWatchdog(*watchdog)
-		if *plan && *shards != 0 {
-			cfg.Shards = *shards // explicit -shards outranks the plan
-		}
 		for l := 0; l < nLanes; l++ {
 			c := cfg
 			c.Seed = *seed + uint64(l)
@@ -174,12 +162,7 @@ func main() {
 	// per-shard time is attributable; off without -cpuprofile since the
 	// labelling allocates per tick.
 	noc.SetShardProfiling(pprofOut.CPUActive())
-	var outs []runner.Outcome
-	if *plan {
-		outs = pool.DoAllPlanned(ctx, cfgs)
-	} else {
-		outs = pool.DoAll(cfgs)
-	}
+	outs := pool.DoAllPlanned(ctx, cfgs)
 	pprofOut.Stop() // profile covers the simulations, not the report
 
 	headers := []string{"bench", "config"}

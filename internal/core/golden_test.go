@@ -190,16 +190,6 @@ func TestGoldenDigestsLanes(t *testing.T) {
 					for i := range seeds {
 						seeds[i] = cfg.Seed + uint64(i)
 					}
-					if lanesN == 1 {
-						// One lane delegates to the solo path; the digest
-						// identity is the plain golden check.
-						results, errs := RunLanes(nil, cfg, seeds)
-						if errs[0] != nil {
-							t.Fatalf("run degraded: %v", errs[0])
-						}
-						_ = results
-						return
-					}
 					lanes, buildErrs := runLanes(nil, cfg, seeds)
 					for i, l := range lanes {
 						if l == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/addr"
 	"repro/internal/fault"
@@ -16,40 +17,20 @@ import (
 // share the immutable topology backend (geometry, route tables; backends are
 // read-only at runtime), while every lane keeps its own mutable state: VC
 // buffers, queues, stats, RNG streams and a private clock scheduler. Each
-// round advances every live lane by one scheduler step, so a lane executes
-// exactly the solo Run algorithm, interleaved in wall-clock with its
-// siblings; lanes retire individually as they finish and a retired lane
-// costs nothing.
+// round advances every live lane by one step of the closed-loop cycle loop
+// (lane.step — the same loop a solo System.Run drives as a lane of one),
+// interleaved in wall-clock with its siblings; lanes retire individually as
+// they finish and a retired lane costs nothing. Results are therefore
+// bit-identical to solo runs for every lane count, which the golden digest
+// matrices pin at lanes 1/2/4.
 //
-// What makes the batch faster than running the seeds back to back is the
-// lane kernel's per-component dormancy tracking: a component whose
-// NextWorkCycle horizon has not arrived is not ticked at all, and the elided
-// idle cycles are paid lazily with its SkipAhead-family credit call — which
-// the idle-horizon contract (DESIGN.md) defines to be bit-identical to
-// ticking it that many times. Results are therefore bit-identical to solo
-// runs for every lane count, which the golden digest matrices pin at lanes
-// 1/2/4.
-//
-// The returned slices are indexed like seeds. A lane's error mirrors what
-// Run would have returned for that seed (nil, or a *fault.HangError with the
+// The returned slices are indexed like seeds. A lane's error is what Run
+// would have returned for that seed (nil, or a *fault.HangError with the
 // Result still populated).
 func RunLanes(ctx context.Context, cfg Config, seeds []uint64) ([]Result, []error) {
+	lanes, buildErrs := runLanes(ctx, cfg, seeds)
 	results := make([]Result, len(seeds))
 	errs := make([]error, len(seeds))
-	if len(seeds) == 0 {
-		return results, errs
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(seeds) == 1 {
-		c := cfg
-		c.Seed = seeds[0]
-		results[0], errs[0] = Run(ctx, c)
-		return results, errs
-	}
-
-	lanes, buildErrs := runLanes(ctx, cfg, seeds)
 	for i, l := range lanes {
 		if l == nil {
 			errs[i] = buildErrs[i]
@@ -70,7 +51,7 @@ func runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*lane, []error
 	}
 	// Build the shared backend once. Only the single-mesh network family
 	// can share (Double builds two slices, ideal networks have no kernel);
-	// other kinds simply construct per lane, exactly as solo runs do.
+	// other kinds simply construct per lane, exactly as NewSystem does.
 	var share noc.Backend
 	if cfg.Net == NetMesh {
 		if b, err := noc.BuildBackend(cfg.Noc); err == nil {
@@ -105,9 +86,12 @@ func runLanes(ctx context.Context, cfg Config, seeds []uint64) ([]*lane, []error
 	return lanes, errs
 }
 
-// lane is one seed replica inside a lane batch: a full System plus the
-// dormancy bookkeeping that lets the shared loop elide ticks on components
-// whose work horizon has not arrived.
+// lane is one seed replica driven by the closed-loop cycle loop: a full
+// System plus the dormancy bookkeeping that lets the loop elide ticks on
+// components whose work horizon has not arrived. The elided idle cycles are
+// paid lazily with each component's SkipAhead-family credit call, which the
+// idle-horizon contract (DESIGN.md) defines to be bit-identical to ticking it
+// that many times.
 //
 // Per component the lane stores a wake threshold and a credit watermark:
 //
@@ -172,18 +156,20 @@ func newLane(sys *System) *lane {
 	if l.maxIcnt == 0 {
 		l.maxIcnt = defaultMaxIcntCycles
 	}
+	// The system stall watchdog backs up the network's: it watches total
+	// forward progress (instructions, memory work and flit movement), so it
+	// also catches hangs outside the network. Same window, in icnt cycles.
 	if sys.cfg.Noc.Fault.Monitored() {
 		l.wd = fault.NewWatchdog(sys.cfg.Noc.Fault.WatchdogCycles)
 	}
 	return l
 }
 
-// step advances the lane by one iteration of the solo Run loop — one
-// scheduler step plus its bookkeeping — and reports whether the lane is
-// still live. The control flow (loop-top done check, cycle cap, context
-// poll, domain ticks, health check, stall watchdog, idle skip) mirrors
-// System.Run line for line; only the component ticks are gated by the
-// dormancy state.
+// step advances the lane by one iteration of the cycle loop — one scheduler
+// step plus its bookkeeping — and reports whether the lane is still live:
+// the loop-top done check, the cycle cap, the context poll, the domain ticks
+// (gated by the dormancy state), the network health check, the stall
+// watchdog and, after interconnect edges, the idle skip.
 func (l *lane) step(ctx context.Context) bool {
 	s := l.sys
 	if l.doneKnownFalse {
@@ -229,6 +215,10 @@ func (l *lane) step(ctx context.Context) bool {
 		l.fail(fault.Hang(fault.ErrStall, s.diagnose("stall")))
 		return false
 	}
+	// Attempt a fast-forward only after interconnect edges: idle windows
+	// always span whole interconnect cycles, and gating the attempt keeps
+	// the horizon scans off the core/DRAM-edge iterations (roughly four in
+	// five) during busy phases.
 	if l.elide && icntTicked {
 		l.maybeSkip()
 		l.strideToNextIcnt()
@@ -256,8 +246,9 @@ func (l *lane) strideToNextIcnt() {
 		}
 	}
 	// If the next loop top will retire the lane — run complete, or the cycle
-	// cap reached — solo stepping would observe it at the FIRST edge after
-	// this one, before any further core/DRAM edges advance their counters.
+	// cap reached — edge-by-edge stepping would observe it at the FIRST edge
+	// after this one, before any further core/DRAM edges advance their
+	// counters.
 	// Striding would credit those edges and inflate the final cycle counts,
 	// so hold position and let the loop top take the exit exactly.
 	ic := s.sched.Cycles(timing.DomainInterconnect)
@@ -317,11 +308,12 @@ func (l *lane) payAll() {
 	}
 }
 
-// done mirrors System.done with two caches: sticky per-core Done results
-// (completion is monotonic — a finished core has no outstanding work that
-// could wake it) and the dormancy rule that a core marked dormant while
-// unfinished cannot finish without an external wake event (its horizon was
-// NeverCycle, so no tick it is owed can make progress).
+// done reports run completion — every core done, the network quiet and no
+// MC busy — with two caches: sticky per-core Done results (completion is
+// monotonic — a finished core has no outstanding work that could wake it)
+// and the dormancy rule that a core marked dormant while unfinished cannot
+// finish without an external wake event (its horizon was NeverCycle, so no
+// tick it is owed can make progress).
 func (l *lane) done() bool {
 	s := l.sys
 	for i, c := range s.cores {
@@ -427,8 +419,10 @@ func icntWakeOf(mc *mem.MCNode, now uint64) uint64 {
 // has not arrived either, the whole edge is provably idle and nothing is
 // touched — the elided cycle is paid later by each component's skip credit.
 // Otherwise the network is paid up to the pre-tick cycle (injections and MC
-// ticks must observe the true network clock) and the edge proceeds exactly
-// like System.icntTick, with per-MC gating.
+// ticks must observe the true network clock) and the edge runs: core
+// requests enter the network, MCs whose wake has arrived process and inject
+// replies, the network moves flits, and deliveries fan back out to cores and
+// MCs.
 func (l *lane) icntTick() {
 	s := l.sys
 	ic := s.sched.Cycles(timing.DomainInterconnect) // post-step count
@@ -458,7 +452,7 @@ func (l *lane) icntTick() {
 		s.net.SkipAhead(k)
 	}
 	l.injectCoreRequests()
-	cycle := s.net.Cycle() // == ic-1, the pre-tick count solo MCs observe
+	cycle := s.net.Cycle() // == ic-1, the pre-tick count MCs observe
 	dc := s.sched.Cycles(timing.DomainDRAM)
 	for j, mc := range s.mcs {
 		if ic < l.icntWake[j] {
@@ -488,8 +482,9 @@ func (l *lane) icntTick() {
 	}
 }
 
-// injectCoreRequests mirrors System.injectCoreRequests; a successful
-// injection pays and wakes the core before PopRequest mutates it.
+// injectCoreRequests moves queued core requests into the network until it
+// refuses one; a successful injection pays and wakes the core before
+// PopRequest mutates it (out-queue space may unblock a stalled miss).
 func (l *lane) injectCoreRequests() {
 	s := l.sys
 	for i, c := range s.cores {
@@ -508,23 +503,22 @@ func (l *lane) injectCoreRequests() {
 			}
 			l.wakeCore(i)
 			c.PopRequest()
-			s.coreQuiet[i] = false
 		}
 	}
 }
 
-// deliver mirrors System.deliver, paying and waking the receiving component
-// before each delivery lands.
+// deliver hands every packet the network ejected this edge to its
+// destination — fills to cores, requests to MCs — paying and waking the
+// receiving component before each delivery lands.
 func (l *lane) deliver(ic uint64) {
 	s := l.sys
 	for idx, node := range s.coreNodes {
 		for _, pkt := range s.net.Delivered(node) {
 			if pkt.Class != noc.ClassReply {
-				panic("core: compute node received non-reply packet")
+				panic(fmt.Sprintf("core: compute node %d received non-reply packet %d", node, pkt.ID))
 			}
 			l.wakeCore(idx)
 			s.cores[idx].DeliverFill(addr.Address(pkt.Line))
-			s.coreQuiet[idx] = false
 			s.pool.Put(pkt)
 		}
 	}
@@ -541,17 +535,26 @@ func (l *lane) deliver(ic uint64) {
 	}
 }
 
-// maybeSkip is the lane version of System.maybeSkip: identical horizon
-// algebra and watchdog clamps, but reading the cached wake state instead of
-// re-deriving horizons for dormant components, and leaving the bulk-advance
-// credits to be paid lazily from each component's cred watermark. Skipping
-// never changes results (the idle-horizon contract), so the cached horizons
-// only need to be conservative, which they are: every event that could
-// shorten one clears the wake first.
+// maybeSkip fast-forwards the scheduler across a fully idle window. It asks
+// every subsystem for a conservative next-work horizon — reading the cached
+// wake state rather than re-deriving horizons for dormant components —
+// converts each to an absolute femtosecond instant, and bulk-advances the
+// scheduler to the earliest one with SkipTo; the credited idle edges are
+// paid lazily from each component's cred watermark. When any domain has
+// work on its very next edge the method returns without touching anything,
+// so the edge-by-edge path stays the ground truth. Skipping never changes
+// results (the idle-horizon contract), so the cached horizons only need to
+// be conservative, which they are: every event that could shorten one
+// clears the wake first.
 func (l *lane) maybeSkip() {
 	s := l.sys
 	const never = noc.NeverCycle
 
+	// Core horizon first: in compute-bound phases some core works on its
+	// very next tick, so this scan is the cheap early-out. A queued outbound
+	// request forces a real interconnect tick (injection). A core whose
+	// horizon is NeverCycle turns dormant until an external event wakes it,
+	// so later scans skip its warp tables.
 	coreNow := s.sched.Cycles(timing.DomainCore)
 	kCore := never
 	for i, c := range s.cores {
@@ -578,6 +581,9 @@ func (l *lane) maybeSkip() {
 		}
 	}
 
+	// Interconnect horizon: the network itself and each MC's network side
+	// ride the same domain. Both wakes are post-step counts, so a wake of w
+	// leaves w-icntNow-1 idle ticks.
 	icntNow := s.sched.Cycles(timing.DomainInterconnect)
 	kIcnt := never
 	if l.netWake != never {
@@ -599,6 +605,10 @@ func (l *lane) maybeSkip() {
 		}
 	}
 
+	// DRAM horizon. Unlike the gates above, imminent DRAM work only bounds
+	// the skip: core and interconnect edges strictly before the next DRAM
+	// work edge are still credited, which is where memory-bound phases
+	// (every warp parked on an outstanding fetch) win their wall-clock.
 	dramNow := s.sched.Cycles(timing.DomainDRAM)
 	kDram := never
 	for j := range s.mcs {
@@ -615,8 +625,17 @@ func (l *lane) maybeSkip() {
 		}
 	}
 
+	// The stall watchdog samples at interconnect cycles that are multiples
+	// of stallCheckPeriod, fed the loop-top cycle count; the skip must leave
+	// those samples exactly where stepping would put them.
 	if l.wd != nil {
 		if l.wd.Synced(s.progress()) {
+			// The recorded window is live: the first sample at or past
+			// LastMovement+Window trips (idle windows cannot advance the
+			// progress counter). Keep every interconnect edge from that
+			// sample's cycle onward un-skipped so the trip — and the domain
+			// counters its diagnostic reports — are bit-identical to
+			// stepping.
 			c := ceilCheck(l.wd.LastMovement() + l.wd.Window)
 			if c <= icntNow {
 				return
@@ -625,16 +644,26 @@ func (l *lane) maybeSkip() {
 				kIcnt = b
 			}
 		} else {
+			// Progress advanced since the last sample, so the next sample
+			// resets the window; it must observe the same cycle value under
+			// skipping as under stepping.
 			if b := ceilCheck(icntNow) - icntNow; b < kIcnt {
 				kIcnt = b
 			}
 		}
 	}
 
+	// A completed run exits at the next loop-top done() check without
+	// ticking again; skipping past that point would tack idle cycles onto
+	// the final counters. Checked this late because it only matters once
+	// every horizon is quiescent — busy systems returned above.
 	if l.done() {
 		return
 	}
 
+	// Earliest real-work instant across the domains, capped at the cycle
+	// limit's own edge so a cycle-cap verdict lands with every counter
+	// unchanged.
 	h := s.sched.EdgeFs(timing.DomainInterconnect, l.maxIcnt)
 	if kCore != never {
 		if t := s.sched.HorizonFs(timing.DomainCore, kCore); t < h {

@@ -56,9 +56,27 @@ func TestZeroFaultRateUnchanged(t *testing.T) {
 	}
 }
 
-func TestCycleCapReturnsTypedError(t *testing.T) {
+// cycleCapConfig is a memory-heavy quick run capped at maxIcnt
+// interconnect cycles.
+func cycleCapConfig(maxIcnt uint64) Config {
 	cfg := Baseline(quickProfile("HH"))
-	cfg.MaxIcntCycles = 200 // far too few to finish
+	cfg.MaxIcntCycles = maxIcnt
+	return cfg
+}
+
+// wedgedConfig is a quick run whose every link faults while the recovery
+// machinery (credit resync, retransmission) is disabled, so the network
+// wedges and the watchdogs must end the run.
+func wedgedConfig() Config {
+	cfg := Baseline(quickProfile("HH")).WithFaults(1, 3)
+	cfg.Noc.Fault.CreditResyncCycles = 1 << 40
+	cfg.Noc.Fault.RetxTimeout = 1 << 40
+	cfg.Noc.Fault.WatchdogCycles = 2000
+	return cfg
+}
+
+func TestCycleCapReturnsTypedError(t *testing.T) {
+	cfg := cycleCapConfig(200) // far too few to finish
 	res, err := Run(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("capped run returned no error")
@@ -83,11 +101,7 @@ func TestCycleCapReturnsTypedError(t *testing.T) {
 }
 
 func TestWedgedNetworkSurfacesDeadlock(t *testing.T) {
-	cfg := Baseline(quickProfile("HH")).WithFaults(1, 3)
-	cfg.Noc.Fault.CreditResyncCycles = 1 << 40
-	cfg.Noc.Fault.RetxTimeout = 1 << 40
-	cfg.Noc.Fault.WatchdogCycles = 2000
-	res, err := Run(context.Background(), cfg)
+	res, err := Run(context.Background(), wedgedConfig())
 	if err == nil {
 		t.Fatal("wedged system completed")
 	}

@@ -10,9 +10,13 @@ import (
 
 // checkSkipEquivalence runs cfg with idle-horizon fast-forwarding enabled
 // (the default) and disabled and fails unless the two runs are
-// bit-identical. Field-level comparison runs first so a divergence points
-// at the counter that drifted, not just at a hash.
-func checkSkipEquivalence(t *testing.T, cfg Config) {
+// bit-identical. Degraded runs (cycle cap, watchdog verdicts) are compared
+// like clean ones: same Status, same error kind and message (which carries
+// the verdict's cycle), same Result and digest. Field-level comparison runs
+// first so a divergence points at the counter that drifted, not just at a
+// hash. It returns the skip-on run's error so callers can demand a clean
+// run.
+func checkSkipEquivalence(t *testing.T, cfg Config) error {
 	t.Helper()
 
 	off := cfg
@@ -22,9 +26,6 @@ func checkSkipEquivalence(t *testing.T, cfg Config) {
 		t.Fatal(err)
 	}
 	resOff, errOff := sysOff.Run(nil)
-	if errOff != nil {
-		t.Fatalf("no-skip run degraded: %v", errOff)
-	}
 
 	on := cfg
 	on.NoIdleSkip = false
@@ -33,10 +34,13 @@ func checkSkipEquivalence(t *testing.T, cfg Config) {
 		t.Fatal(err)
 	}
 	resOn, errOn := sysOn.Run(nil)
-	if errOn != nil {
-		t.Fatalf("skip run degraded: %v", errOn)
-	}
 
+	if statusOf(errOn) != statusOf(errOff) || errText(errOn) != errText(errOff) {
+		t.Errorf("verdict differs with skipping: skip %q, no-skip %q", errText(errOn), errText(errOff))
+	}
+	if resOn.Status != resOff.Status {
+		t.Errorf("Status differs with skipping: skip %q, no-skip %q", resOn.Status, resOff.Status)
+	}
 	if resOn != resOff {
 		t.Errorf("Result differs with skipping:\n skip:    %+v\n no-skip: %+v", resOn, resOff)
 	}
@@ -57,6 +61,15 @@ func checkSkipEquivalence(t *testing.T, cfg Config) {
 	if dOn != dOff {
 		t.Errorf("digest differs with skipping: %s vs %s", dOn, dOff)
 	}
+	return errOn
+}
+
+// errText renders a run error for comparison ("" for a clean run).
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // TestIdleSkipEquivalence proves idle-horizon fast-forwarding is invisible:
@@ -68,7 +81,9 @@ func TestIdleSkipEquivalence(t *testing.T) {
 		for _, shards := range goldenShardCounts {
 			shards := shards
 			t.Run(fmt.Sprintf("%s/shards-%d", gc.id, shards), func(t *testing.T) {
-				checkSkipEquivalence(t, gc.build().WithShards(shards))
+				if err := checkSkipEquivalence(t, gc.build().WithShards(shards)); err != nil {
+					t.Fatalf("run degraded: %v", err)
+				}
 			})
 		}
 	}
@@ -101,7 +116,38 @@ func TestIdleSkipEquivalenceMemBound(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			checkSkipEquivalence(t, cfg.WithShards(shards))
+			if err := checkSkipEquivalence(t, cfg.WithShards(shards)); err != nil {
+				t.Fatalf("run degraded: %v", err)
+			}
+		})
+	}
+}
+
+// TestIdleSkipEquivalenceDegraded pins the cycle-cap edge and the watchdog
+// clamp of the cycle loop: a run that ends in a verdict must end at the
+// same cycle, with the same counters, whether idle windows are skipped or
+// stepped. Lane 0 of a two-seed lane batch must match the solo run too.
+func TestIdleSkipEquivalenceDegraded(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"cycle-cap-200", cycleCapConfig(200)},
+		{"cycle-cap-5000", cycleCapConfig(5000)},
+		{"wedged", wedgedConfig()},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if err := checkSkipEquivalence(t, tc.cfg); err == nil {
+				t.Fatal("run completed; the case no longer exercises a verdict")
+			}
+			solo, soloErr := Run(nil, tc.cfg)
+			results, errs := RunLanes(nil, tc.cfg, []uint64{tc.cfg.Seed, tc.cfg.Seed + 1})
+			if results[0] != solo || errText(errs[0]) != errText(soloErr) {
+				t.Errorf("lane 0 differs from the solo run:\n lane: %+v (%v)\n solo: %+v (%v)",
+					results[0], errs[0], solo, soloErr)
+			}
 		})
 	}
 }

@@ -20,7 +20,6 @@ func (s *Suite) Explore() (*Report, error) {
 		Benchmarks: s.resilienceBench(),
 		Seeds:      s.opts.Seeds,
 		Scale:      s.opts.Scale,
-		Jobs:       s.opts.Jobs,
 		NoIdleSkip: s.opts.NoIdleSkip,
 		Progress:   s.opts.Progress,
 	})

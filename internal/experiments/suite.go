@@ -189,7 +189,7 @@ func (s *Suite) report(out runner.Outcome) {
 func (s *Suite) run(cfg core.Config) core.Result {
 	cfg = cfg.ScaleWork(s.opts.Scale)
 	cfg.NoIdleSkip = s.opts.NoIdleSkip
-	return s.pool.Do(cfg).Result
+	return s.pool.DoContext(context.Background(), cfg).Result
 }
 
 // runAll warms the result cache by pushing cfgs through the sweep planner:
@@ -205,11 +205,7 @@ func (s *Suite) runAll(cfgs []core.Config) {
 		scaled[i] = c.ScaleWork(s.opts.Scale)
 		scaled[i].NoIdleSkip = s.opts.NoIdleSkip
 	}
-	ctx := s.opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.pool.DoAllPlanned(ctx, scaled)
+	s.pool.DoAllPlanned(s.opts.Context, scaled)
 }
 
 // seedReplicas expands cfg into one copy per suite seed. The replicas share

@@ -62,12 +62,6 @@ type Options struct {
 	// Scale multiplies kernel length before rung budgets apply (the
 	// suite's -scale knob); 0 means 1.0.
 	Scale float64
-	// Jobs is the worker-slot count of the pool the exploration runs on,
-	// for the sweep planner's lane/shard budget; 0 means the core count.
-	Jobs int
-	// MaxProcs overrides the planner's core budget (tests); 0 means
-	// runtime.GOMAXPROCS.
-	MaxProcs int
 	// NoIdleSkip forwards the suite's idle-skip override to every run.
 	NoIdleSkip bool
 	// Progress, when non-nil, receives one line per rung.
@@ -153,9 +147,8 @@ func (f *Frontier) JSON() ([]byte, error) { return json.MarshalIndent(f, "", "  
 // budget is part of the cache key (runner.Key includes the kernel length),
 // so partial rungs resume mid-flight.
 type Explorer struct {
-	opts    Options
-	pool    *runner.Pool
-	planner runner.Planner
+	opts Options
+	pool *runner.Pool
 }
 
 // New builds an explorer on pool.
@@ -189,10 +182,7 @@ func New(pool *runner.Pool, opts Options) (*Explorer, error) {
 		}
 		prev = r.Budget
 	}
-	e := &Explorer{opts: opts, pool: pool}
-	e.planner.Jobs = opts.Jobs
-	e.planner.MaxProcs = opts.MaxProcs
-	return e, nil
+	return &Explorer{opts: opts, pool: pool}, nil
 }
 
 // Run executes the exploration. The frontier, rung logs and savings are
@@ -323,7 +313,7 @@ func (e *Explorer) scoreRung(ctx context.Context, cands []Candidate, alive []int
 			}
 		}
 	}
-	outs := e.pool.DoAllWithPlan(ctx, cfgs, e.planner.Plan(cfgs))
+	outs := e.pool.DoAllPlanned(ctx, cfgs)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("explore: rung aborted: %w", err)
 	}

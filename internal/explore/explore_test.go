@@ -54,7 +54,6 @@ func TestExploreSmokeTinyGrid(t *testing.T) {
 		Grid:       tinyGrid(),
 		Benchmarks: []workload.Profile{mumProfile(t)},
 		Scale:      0.01,
-		Jobs:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,18 +101,17 @@ func TestExploreSmokeTinyGrid(t *testing.T) {
 
 // TestExploreDeterministicAcrossJobs pins the determinism contract: the
 // full machine-readable frontier — points, rung kill/promote logs, cycle
-// accounting — is byte-identical for any worker count, lane width or shard
-// plan.
+// accounting — is byte-identical for any worker count and lane width:
+// solo runs, explicit two-wide lane batches, and the planner's own width
+// choice.
 func TestExploreDeterministicAcrossJobs(t *testing.T) {
-	run := func(jobs, maxprocs int) []byte {
-		pool := newExplorerPool(t, runner.Options{Jobs: jobs})
+	run := func(jobs, lanes int) []byte {
+		pool := newExplorerPool(t, runner.Options{Jobs: jobs, Lanes: lanes})
 		ex, err := New(pool, Options{
 			Grid:       tinyGrid(),
 			Benchmarks: []workload.Profile{mumProfile(t)},
 			Seeds:      []uint64{1, 2},
 			Scale:      0.01,
-			Jobs:       jobs,
-			MaxProcs:   maxprocs,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -128,11 +126,11 @@ func TestExploreDeterministicAcrossJobs(t *testing.T) {
 		}
 		return data
 	}
-	ref := run(1, 1) // solo everything: 1-core degrade plan
-	for _, c := range []struct{ jobs, maxprocs int }{{2, 8}, {4, 16}} {
-		if got := run(c.jobs, c.maxprocs); string(got) != string(ref) {
-			t.Errorf("frontier JSON differs between jobs=1 and jobs=%d (maxprocs=%d):\n--- ref ---\n%s\n--- got ---\n%s",
-				c.jobs, c.maxprocs, ref, got)
+	ref := run(1, 1) // solo everything
+	for _, c := range []struct{ jobs, lanes int }{{2, 2}, {4, 0}} {
+		if got := run(c.jobs, c.lanes); string(got) != string(ref) {
+			t.Errorf("frontier JSON differs between jobs=1/lanes=1 and jobs=%d/lanes=%d:\n--- ref ---\n%s\n--- got ---\n%s",
+				c.jobs, c.lanes, ref, got)
 		}
 	}
 }
@@ -143,18 +141,15 @@ func TestExploreDeterministicAcrossJobs(t *testing.T) {
 // re-executing only the missing simulations.
 func TestExploreResumesMidRung(t *testing.T) {
 	prof := mumProfile(t)
-	opts := func(jobs int) Options {
-		return Options{
-			Grid:       tinyGrid(),
-			Benchmarks: []workload.Profile{prof},
-			Scale:      0.01,
-			Jobs:       jobs,
-		}
+	opts := Options{
+		Grid:       tinyGrid(),
+		Benchmarks: []workload.Profile{prof},
+		Scale:      0.01,
 	}
 
 	// The reference: a clean uninterrupted exploration.
 	refPool := newExplorerPool(t, runner.Options{Jobs: 1})
-	ex, err := New(refPool, opts(1))
+	ex, err := New(refPool, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +175,7 @@ func TestExploreResumesMidRung(t *testing.T) {
 	for _, c := range cands[:3] {
 		cfg := c.Build(prof).ScaleWork(0.01 * warmup)
 		cfg.Seed = 1
-		if out := partial.Do(cfg); !out.OK() {
+		if out := partial.DoContext(context.Background(), cfg); !out.OK() {
 			t.Fatalf("warm-up run for %s degraded: %+v", c.Name, out.Result)
 		}
 	}
@@ -191,7 +186,7 @@ func TestExploreResumesMidRung(t *testing.T) {
 	// Resume: the journaled runs come back from the checkpoint, the rest
 	// execute, and the frontier is identical.
 	resumed := newExplorerPool(t, runner.Options{Jobs: 1, Checkpoint: journal, Resume: true})
-	ex2, err := New(resumed, opts(1))
+	ex2, err := New(resumed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +242,7 @@ func TestExploreDefaultGridAcceptance(t *testing.T) {
 	const scale = 0.02
 	pool := newExplorerPool(t, runner.Options{Jobs: 2})
 	bench := []workload.Profile{mumProfile(t)}
-	ex, err := New(pool, Options{Benchmarks: bench, Scale: scale, Jobs: 2, Progress: os.Stderr})
+	ex, err := New(pool, Options{Benchmarks: bench, Scale: scale, Progress: os.Stderr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +258,7 @@ func TestExploreDefaultGridAcceptance(t *testing.T) {
 			s, f.SimulatedCycles, f.ExhaustiveCycles)
 	}
 
-	exh, err := New(pool, Options{Benchmarks: bench, Scale: scale, Jobs: 2,
+	exh, err := New(pool, Options{Benchmarks: bench, Scale: scale,
 		Rungs: []Rung{{Budget: 1.0, Margin: 0}}})
 	if err != nil {
 		t.Fatal(err)

@@ -361,7 +361,7 @@ func TestResumeSkipsFinishedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1.DoAll([]core.Config{cfgA, cfgB})
+	p1.DoAllPlanned(context.Background(), []core.Config{cfgA, cfgB})
 	if err := p1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestResumeSkipsFinishedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := p2.DoAll([]core.Config{cfgA, cfgB, cfgC})
+	outs := p2.DoAllPlanned(context.Background(), []core.Config{cfgA, cfgB, cfgC})
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestTransientOutcomesNotJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Do(testCfg(t, "slow"))
+	p.DoContext(context.Background(), testCfg(t, "slow"))
 	p.Close()
 	recs, _, err := LoadJournal(path)
 	if err != nil {

@@ -43,7 +43,7 @@ func (r *laneBatchRecorder) run(_ context.Context, cfg core.Config, seeds []uint
 // different-seed requests chunk into lane batches of Options.Lanes, each
 // batch executes once, and every seed keeps its solo cache identity — its
 // own Key, its own Outcome carrying that seed's result, and a cache entry a
-// later Do serves without re-executing.
+// later DoContext serves without re-executing.
 func TestDoAllCoalescesLanes(t *testing.T) {
 	rec := &laneBatchRecorder{}
 	var soloCalls atomic.Int64
@@ -60,7 +60,7 @@ func TestDoAllCoalescesLanes(t *testing.T) {
 		cfg.Seed = s
 		cfgs = append(cfgs, cfg)
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 
 	if n := soloCalls.Load(); n != 0 {
 		t.Errorf("solo path executed %d times; every seed should ride a lane batch", n)
@@ -84,7 +84,7 @@ func TestDoAllCoalescesLanes(t *testing.T) {
 	}
 	// Lane batching must be invisible to the cache: a repeat request for any
 	// seed is a hit, no third batch.
-	if out := p.Do(cfgs[3]); !out.Cached || out.Result.IPC != float64(cfgs[3].Seed) {
+	if out := p.DoContext(context.Background(), cfgs[3]); !out.Cached || out.Result.IPC != float64(cfgs[3].Seed) {
 		t.Errorf("repeat request = %+v, want cache hit with that seed's result", out)
 	}
 	if len(rec.batches) != 2 {
@@ -104,7 +104,7 @@ func TestLaneShardCapSeesBatchWidth(t *testing.T) {
 		cfg.Seed = s
 		cfgs = append(cfgs, cfg)
 	}
-	p.DoAll(cfgs)
+	p.DoAllPlanned(context.Background(), cfgs)
 	want := CapShards(1<<20, 1, 2, runtime.GOMAXPROCS(0))
 	if len(rec.shards) != 1 || rec.shards[0] != want {
 		t.Errorf("batch ran with shards %v, want [%d] (capped by jobs×lanes)", rec.shards, want)
@@ -137,7 +137,7 @@ func TestLaneRetryableFallsBackToSolo(t *testing.T) {
 		cfg.Seed = s
 		cfgs = append(cfgs, cfg)
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	for i, o := range outs {
 		if !o.OK() || o.Result.IPC != float64(cfgs[i].Seed) {
 			t.Errorf("outs[%d] = %+v, want ok with seed %d", i, o.Result, cfgs[i].Seed)
@@ -169,7 +169,7 @@ func TestLaneRetryableTerminalWithoutRetries(t *testing.T) {
 		cfg.Seed = s
 		cfgs = append(cfgs, cfg)
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	for i, o := range outs {
 		if o.Result.Status != "stall" {
 			t.Errorf("outs[%d].Status = %q, want the lane's stall verdict", i, o.Result.Status)
@@ -180,10 +180,10 @@ func TestLaneRetryableTerminalWithoutRetries(t *testing.T) {
 	}
 }
 
-// TestLaneDuplicateKeysShareOneExecution: duplicate seeds in one DoAll ride
-// the singleflight. Whichever path claims the key first (the duplicate goes
-// solo and races the chunk), each distinct seed executes exactly once and
-// the duplicate is served the same outcome.
+// TestLaneDuplicateKeysShareOneExecution: duplicate seeds in one batch call
+// ride the singleflight. Whichever path claims the key first (the duplicate
+// goes solo and races the chunk), each distinct seed executes exactly once
+// and the duplicate is served the same outcome.
 func TestLaneDuplicateKeysShareOneExecution(t *testing.T) {
 	rec := &laneBatchRecorder{}
 	var soloRuns atomic.Int64
@@ -197,7 +197,7 @@ func TestLaneDuplicateKeysShareOneExecution(t *testing.T) {
 	a.Seed = 1
 	b := testCfg(t, "dup")
 	b.Seed = 2
-	outs := p.DoAll([]core.Config{a, b, a})
+	outs := p.DoAllPlanned(context.Background(), []core.Config{a, b, a})
 	batched := 0
 	for _, batch := range rec.batches {
 		batched += len(batch)
@@ -215,7 +215,7 @@ func TestLaneDuplicateKeysShareOneExecution(t *testing.T) {
 }
 
 // TestLanePanicIsolation: a panicking lane batch becomes per-seed "panic"
-// DNFs with the stack attached, and the rest of the DoAll survives.
+// DNFs with the stack attached, and the rest of the batch call survives.
 func TestLanePanicIsolation(t *testing.T) {
 	p := newPool(t, Options{Jobs: 2, Lanes: 2,
 		RunLanes: func(_ context.Context, _ core.Config, _ []uint64) ([]core.Result, []error) {
@@ -228,7 +228,7 @@ func TestLanePanicIsolation(t *testing.T) {
 		cfg.Seed = s
 		cfgs = append(cfgs, cfg)
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	for i, o := range outs {
 		if o.Result.Status != "panic" {
 			t.Errorf("outs[%d].Status = %q, want panic", i, o.Result.Status)
@@ -262,7 +262,7 @@ func TestLanePersistGatePerSeed(t *testing.T) {
 		cfg.Seed = s
 		cfgs = append(cfgs, cfg)
 	}
-	p.DoAll(cfgs)
+	p.DoAllPlanned(context.Background(), cfgs)
 	if len(persisted) != 3 {
 		t.Fatalf("persisted %d records, want 3 (one per seed)", len(persisted))
 	}
@@ -290,7 +290,7 @@ func TestLaneWidthBelowTwoStaysSolo(t *testing.T) {
 		cfg.Seed = s
 		cfgs = append(cfgs, cfg)
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	if laneCalls.Load() != 0 {
 		t.Errorf("lane entry point called %d times at width 1", laneCalls.Load())
 	}

@@ -9,15 +9,14 @@ import (
 )
 
 // Plan is a submission schedule produced by Planner.Plan: the order in which
-// a sweep's configs should be handed to DoAllContext, the lane width chosen
-// for each position, and the shard request to apply where the caller was
-// silent. Order and Width alias the Planner's scratch storage and are valid
-// only until the next Plan call.
+// a sweep's configs should be submitted and the lane width chosen for each
+// position. Order and Width alias the Planner's scratch storage and are
+// valid only until the next Plan call.
 type Plan struct {
 	// Order holds indices into the planned cfgs slice in submission
 	// order: same lane group (identity minus seed) adjacent, groups
 	// sorted by (Name, Workload.Abbr, InstrsPerWarp), seeds ascending
-	// within a group — the order that maximizes DoAllContext's lane
+	// within a group — the order that maximizes the pool's lane
 	// coalescing and keeps cache/journal writes for one configuration
 	// together.
 	Order []int
@@ -25,33 +24,19 @@ type Plan struct {
 	// for the group containing Order[j]. DoAllPlanned applies it only to
 	// configs whose own Lanes request (and the pool's) is zero.
 	Width []int
-	// Shards is the per-lane shard request to apply where both the
-	// config and the pool are silent: core.ShardsAuto when the
-	// jobs×lanes budget leaves spare cores for intra-run sharding, 1
-	// (serial-equivalent) when it does not — in particular always 1 on a
-	// 1-core host, so a degraded box never oversubscribes itself.
-	// CapShards re-caps the request per batch at execution time with the
-	// batch's true width.
-	Shards int
-	// Groups is the number of distinct lane groups in the sweep.
-	Groups int
-	// Batches is the number of >=2-wide lane chunks the plan will
-	// submit; Batched is the number of configs riding in them. The
-	// remaining len(Order)-Batched configs run solo.
-	Batches int
-	Batched int
 }
 
 // Planner turns an unordered sweep into a lane-aware submission plan:
-// same-config/different-seed replicas are grouped so DoAllContext coalesces
+// same-config/different-seed replicas are grouped so the pool coalesces
 // them into single RunLanes batches, groups are ordered for cache/journal
-// locality, and lane width and shard count are auto-tuned from the
-// jobs×lanes×shards ≤ maxprocs budget instead of fixed flags.
+// locality, and lane width is auto-tuned from the worker-slot count and the
+// core budget instead of a fixed flag. The plan never requests intra-run
+// sharding: where the shard cap would let it (few jobs on a small host), a
+// sharded run measured slower than a serial one.
 //
 // The zero value is ready to use. Plan reuses internal scratch across calls
-// and performs no allocations once warm, so a long-running explorer can
-// re-plan every rung for free; a Planner must not be used from multiple
-// goroutines concurrently.
+// and performs no allocations once warm; a Planner must not be used from
+// multiple goroutines concurrently.
 type Planner struct {
 	// MaxProcs is the core budget; 0 means runtime.GOMAXPROCS(0).
 	MaxProcs int
@@ -96,12 +81,10 @@ func (pl *Planner) Plan(cfgs []core.Config) Plan {
 	sort.Sort(pl)
 	pl.cfgs = nil
 
-	plan := Plan{Order: pl.order, Width: pl.width}
 	target := (n + jobs - 1) / jobs
 	if target < 1 {
 		target = 1
 	}
-	widest := 1
 	for start := 0; start < n; {
 		end := start + 1
 		for end < n && samePlanGroup(&cfgs[pl.order[start]], &cfgs[pl.order[end]]) {
@@ -121,41 +104,9 @@ func (pl *Planner) Plan(cfgs []core.Config) Plan {
 		for j := start; j < end; j++ {
 			pl.width[j] = w
 		}
-		plan.Groups++
-		if w >= 2 {
-			full := g / w
-			plan.Batches += full
-			plan.Batched += full * w
-			if rem := g % w; rem >= 2 {
-				plan.Batches++
-				plan.Batched += rem
-			}
-		}
-		if w > widest {
-			widest = w
-		}
 		start = end
 	}
-
-	// Shard budget: jobs×lanes×shards must fit in maxprocs. The number
-	// of concurrently runnable submission units (lane batches + solo
-	// runs) bounds how many worker slots can actually be busy; only when
-	// that times the widest batch still leaves spare cores is intra-run
-	// sharding worth requesting.
-	units := plan.Batches + (n - plan.Batched)
-	concurrent := jobs
-	if concurrent > units {
-		concurrent = units
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	if concurrent*widest < maxprocs {
-		plan.Shards = core.ShardsAuto
-	} else {
-		plan.Shards = 1
-	}
-	return plan
+	return Plan{Order: pl.order, Width: pl.width}
 }
 
 // samePlanGroup reports whether two configs share a lane group: the cache
@@ -190,39 +141,34 @@ func (pl *Planner) Less(i, j int) bool {
 	return pl.order[i] < pl.order[j]
 }
 
-// DoAllPlanned is DoAll routed through the sweep planner: cfgs are
-// submitted to DoAllContext in plan order with the planned lane width and
-// shard request applied wherever the caller was silent, and the outcomes
-// are scattered back so outs[i] still corresponds to cfgs[i]. Explicit
-// requests always win: a config's own Lanes/Shards, then the pool options,
-// then the plan. Planning is order-insensitive modulo input permutation, so
-// tables rendered from the outcomes are byte-identical to the unplanned
-// path for any submission order.
+// DoAllPlanned fans cfgs out across the worker pool through the sweep
+// planner and waits for every outcome; outs[i] corresponds to cfgs[i].
+// Harnesses use it to warm the cache in parallel before rendering tables
+// serially (and deterministically) from cache hits. cfgs are submitted in
+// plan order with the planned lane width applied wherever the caller was
+// silent — a config's own Lanes, then the pool's, then the plan — and
+// same-configuration/different-seed requests coalesce into lane batches
+// (see doAll). Planning is order-insensitive modulo input permutation, so
+// tables rendered from the outcomes are byte-identical for any submission
+// order.
 func (p *Pool) DoAllPlanned(ctx context.Context, cfgs []core.Config) []Outcome {
-	pl := Planner{Jobs: p.opts.Jobs}
-	return p.DoAllWithPlan(ctx, cfgs, pl.Plan(cfgs))
-}
-
-// DoAllWithPlan submits cfgs according to a plan the caller produced —
-// typically from a long-lived Planner reused across explorer rungs (Plan is
-// allocation-free once warm). The plan must have been produced from exactly
-// this cfgs slice.
-func (p *Pool) DoAllWithPlan(ctx context.Context, cfgs []core.Config, plan Plan) []Outcome {
 	if len(cfgs) == 0 {
 		return nil
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	pl := Planner{Jobs: p.opts.Jobs}
+	plan := pl.Plan(cfgs)
 	ordered := make([]core.Config, len(cfgs))
 	for j, i := range plan.Order {
 		c := cfgs[i]
 		if c.Lanes == 0 && p.opts.Lanes == 0 {
 			c.Lanes = plan.Width[j]
 		}
-		if c.Shards == 0 && p.opts.Shards == 0 {
-			c.Shards = plan.Shards
-		}
 		ordered[j] = c
 	}
-	outs := p.DoAllContext(ctx, ordered)
+	outs := p.doAll(ctx, ordered)
 	scattered := make([]Outcome, len(cfgs))
 	for j, i := range plan.Order {
 		scattered[i] = outs[j]

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -39,7 +40,7 @@ func plannerSweep(t testing.TB, groups, seeds int) []core.Config {
 
 // TestPlannerGroupsReplicas pins the planning contract: the order is a
 // permutation, every lane group is contiguous with seeds ascending, groups
-// collate by name, and the accounting matches the grid shape.
+// collate by name, and the lane width matches the grid shape.
 func TestPlannerGroupsReplicas(t *testing.T) {
 	cfgs := plannerSweep(t, 4, 6)
 	var pl Planner
@@ -66,46 +67,19 @@ func TestPlannerGroupsReplicas(t *testing.T) {
 			t.Fatalf("seeds not ascending within group %q at %d", a.Name, j)
 		}
 	}
-	if plan.Groups != 4 {
-		t.Errorf("Groups = %d, want 4", plan.Groups)
-	}
 	// 24 runs over 8 slots → target width 3; 6 seeds per group → two
 	// 3-wide batches per group, everything batched.
-	if plan.Batched != 24 || plan.Batches != 8 {
-		t.Errorf("Batched/Batches = %d/%d, want 24/8", plan.Batched, plan.Batches)
-	}
 	for j, w := range plan.Width {
 		if w != 3 {
 			t.Errorf("Width[%d] = %d, want 3", j, w)
 		}
 	}
-	// 8 batches on 8 slots at width 3 saturate the 8-core budget: no
-	// spare for intra-run sharding.
-	if plan.Shards != 1 {
-		t.Errorf("Shards = %d, want 1 (budget saturated)", plan.Shards)
-	}
 }
 
-// TestPlannerSpareCoresRequestSharding: a sweep too narrow to fill the
-// machine asks for auto shards so CapShards can spend the idle cores.
-func TestPlannerSpareCoresRequestSharding(t *testing.T) {
-	cfgs := plannerSweep(t, 2, 1) // two solo configs
-	var pl Planner
-	pl.MaxProcs = 16
-	pl.Jobs = 16
-	plan := pl.Plan(cfgs)
-	if plan.Shards != core.ShardsAuto {
-		t.Errorf("Shards = %d, want ShardsAuto (2 units on 16 cores)", plan.Shards)
-	}
-	if plan.Batches != 0 || plan.Batched != 0 {
-		t.Errorf("solo configs planned into batches: %+v", plan)
-	}
-}
-
-// TestPlannerOneCoreDegrade pins the satellite contract: on a 1-core host
-// the plan degrades to lanes=1, shards=1 — no batch ever holds more than
-// one lane and no run requests intra-run sharding, so a degraded CI box
-// never oversubscribes itself and bench capture rows stay honest.
+// TestPlannerOneCoreDegrade pins the 1-core contract: on a 1-core host the
+// plan degrades to lanes=1 — no batch ever holds more than one lane, so a
+// degraded CI box never oversubscribes itself and bench capture rows stay
+// honest.
 func TestPlannerOneCoreDegrade(t *testing.T) {
 	cfgs := plannerSweep(t, 3, 8)
 	var pl Planner
@@ -116,12 +90,6 @@ func TestPlannerOneCoreDegrade(t *testing.T) {
 		if w != 1 {
 			t.Fatalf("Width[%d] = %d, want 1 on a 1-core host", j, w)
 		}
-	}
-	if plan.Shards != 1 {
-		t.Errorf("Shards = %d, want 1 on a 1-core host", plan.Shards)
-	}
-	if plan.Batches != 0 || plan.Batched != 0 {
-		t.Errorf("1-core plan still batches lanes: %+v", plan)
 	}
 }
 
@@ -155,9 +123,8 @@ func TestPlannerDeterministicAcrossPermutations(t *testing.T) {
 	}
 }
 
-// TestPlannerZeroAllocs: a warm Planner plans without allocating, so the
-// explorer can re-plan every rung for free. This is the same guarantee the
-// CI alloc gate pins via BenchmarkSweepPlanner.
+// TestPlannerZeroAllocs: a warm Planner plans without allocating. This is
+// the same guarantee the CI alloc gate pins via BenchmarkSweepPlanner.
 func TestPlannerZeroAllocs(t *testing.T) {
 	cfgs := plannerSweep(t, 8, 8)
 	var pl Planner
@@ -168,11 +135,20 @@ func TestPlannerZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDoAllPlannedMatchesDoAll: the planned path returns outcomes in the
-// caller's order with per-seed identity intact, coalesces replicas into
-// lane batches, and a later unplanned request is served from the same
+// withMaxProcs runs the rest of the test at GOMAXPROCS n, so the planner
+// the pool builds sees the same core budget on any host.
+func withMaxProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestDoAllPlannedCoalescesReplicas: the planned path returns outcomes in
+// the caller's order with per-seed identity intact, coalesces replicas into
+// lane batches, and a later single-run request is served from the same
 // cache.
-func TestDoAllPlannedMatchesDoAll(t *testing.T) {
+func TestDoAllPlannedCoalescesReplicas(t *testing.T) {
+	withMaxProcs(t, 8)
 	rec := &laneBatchRecorder{}
 	var soloRuns atomic.Int64
 	p := newPool(t, Options{Jobs: 2,
@@ -183,8 +159,7 @@ func TestDoAllPlannedMatchesDoAll(t *testing.T) {
 				Status: "ok", IPC: float64(cfg.Seed)}, nil
 		}})
 	cfgs := plannerSweep(t, 2, 6) // 12 runs on 2 jobs → width 6 batches
-	pl := Planner{MaxProcs: 8, Jobs: 2}
-	outs := p.DoAllWithPlan(context.Background(), cfgs, pl.Plan(cfgs))
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	for i, o := range outs {
 		if want := Key(cfgs[i]); o.Key != want {
 			t.Errorf("outs[%d].Key = %q, want caller-order key %q", i, o.Key, want)
@@ -192,6 +167,9 @@ func TestDoAllPlannedMatchesDoAll(t *testing.T) {
 		if !o.OK() || o.Result.IPC != float64(cfgs[i].Seed) {
 			t.Errorf("outs[%d] = %+v, want ok carrying seed %d", i, o.Result, cfgs[i].Seed)
 		}
+	}
+	if len(rec.batches) != 2 {
+		t.Errorf("lane batches %v, want one 6-wide batch per group", rec.batches)
 	}
 	batched := 0
 	for _, b := range rec.batches {
@@ -204,29 +182,40 @@ func TestDoAllPlannedMatchesDoAll(t *testing.T) {
 	if p.Executed() != 12 {
 		t.Errorf("Executed() = %d, want 12", p.Executed())
 	}
-	if out := p.Do(cfgs[5]); !out.Cached {
-		t.Errorf("unplanned repeat missed the cache: %+v", out)
+	if out := p.DoContext(context.Background(), cfgs[5]); !out.Cached {
+		t.Errorf("single-run repeat missed the cache: %+v", out)
 	}
 }
 
-// TestDoAllPlannedExplicitRequestsWin: a config's own Lanes/Shards survive
-// planning untouched — the plan only fills silence.
+// TestDoAllPlannedExplicitRequestsWin: an explicit lane width — the
+// config's own Lanes, or the pool's — survives planning untouched; the plan
+// only fills silence.
 func TestDoAllPlannedExplicitRequestsWin(t *testing.T) {
-	rec := &laneBatchRecorder{}
-	p := newPool(t, Options{Jobs: 1, RunLanes: rec.run, Run: okRun})
-	cfgs := plannerSweep(t, 1, 4)
-	for i := range cfgs {
-		cfgs[i].Lanes = 1 // caller explicitly demands solo runs
-	}
-	pl := Planner{MaxProcs: 8, Jobs: 1}
-	outs := p.DoAllWithPlan(context.Background(), cfgs, pl.Plan(cfgs))
-	if len(rec.batches) != 0 {
-		t.Errorf("explicit Lanes=1 still produced lane batches %v", rec.batches)
-	}
-	for i, o := range outs {
-		if !o.OK() {
-			t.Errorf("outs[%d].Status = %q, want ok", i, o.Result.Status)
-		}
+	withMaxProcs(t, 8)
+	for _, c := range []struct {
+		name                string
+		poolLanes, cfgLanes int
+	}{
+		{"config", 0, 1}, // caller explicitly demands solo runs
+		{"pool", 1, 0},   // the pool pins solo runs for silent configs
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := &laneBatchRecorder{}
+			p := newPool(t, Options{Jobs: 1, Lanes: c.poolLanes, RunLanes: rec.run, Run: okRun})
+			cfgs := plannerSweep(t, 1, 4)
+			for i := range cfgs {
+				cfgs[i].Lanes = c.cfgLanes
+			}
+			outs := p.DoAllPlanned(context.Background(), cfgs)
+			if len(rec.batches) != 0 {
+				t.Errorf("explicit Lanes=1 still produced lane batches %v", rec.batches)
+			}
+			for i, o := range outs {
+				if !o.OK() {
+					t.Errorf("outs[%d].Status = %q, want ok", i, o.Result.Status)
+				}
+			}
+		})
 	}
 }
 
@@ -246,10 +235,10 @@ func BenchmarkSweepPlanner(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSubmission compares submitting a replica-heavy sweep
-// through the naive per-config path against the planner (batched) path,
-// with a stub kernel so the measured cost is the runner's own
-// orchestration. Not alloc-gated: pool bookkeeping allocates by design.
+// BenchmarkSweepSubmission measures submitting a replica-heavy sweep
+// through the planned (batched) path, with a stub kernel so the measured
+// cost is the runner's own orchestration. Not alloc-gated: pool
+// bookkeeping allocates by design.
 func BenchmarkSweepSubmission(b *testing.B) {
 	laneRun := func(_ context.Context, cfg core.Config, seeds []uint64) ([]core.Result, []error) {
 		results := make([]core.Result, len(seeds))
@@ -262,24 +251,13 @@ func BenchmarkSweepSubmission(b *testing.B) {
 		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok"}, nil
 	}
 	cfgs := plannerSweep(b, 16, 8)
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := New(context.Background(), Options{Jobs: 4, RunLanes: laneRun, Run: soloRun})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.DoAll(cfgs)
-			p.Close()
-		}
-	})
 	b.Run("planned", func(b *testing.B) {
-		pl := Planner{MaxProcs: 16, Jobs: 4}
 		for i := 0; i < b.N; i++ {
 			p, err := New(context.Background(), Options{Jobs: 4, RunLanes: laneRun, Run: soloRun})
 			if err != nil {
 				b.Fatal(err)
 			}
-			p.DoAllWithPlan(context.Background(), cfgs, pl.Plan(cfgs))
+			p.DoAllPlanned(context.Background(), cfgs)
 			p.Close()
 		}
 	})

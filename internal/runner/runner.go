@@ -65,7 +65,7 @@ type Options struct {
 	// in cache keys or checkpoint identity.
 	Shards int
 	// Lanes is the default lane-batch width applied to every config whose
-	// own Lanes field is zero: DoAll/DoAllContext coalesce up to Lanes
+	// own Lanes field is zero: DoAllPlanned coalesces up to Lanes
 	// same-configuration/different-seed requests into one lane-batched
 	// execution (core.RunLanes) occupying a single worker slot. Lane
 	// batching is result-invariant — every lane is bit-identical to its
@@ -341,16 +341,11 @@ func (p *Pool) abandon(fl *flight) {
 	p.mu.Unlock()
 }
 
-// Do executes (or recalls) one run. It blocks until the outcome is
-// terminal; duplicate concurrent requests for the same key share a single
-// execution.
-func (p *Pool) Do(cfg core.Config) Outcome {
-	return p.DoContext(context.Background(), cfg)
-}
-
-// DoContext is Do bounded by a per-call context — the service daemon's
-// end-to-end request deadline. The run executes under the pool context as
-// before, but every concurrent caller for the key holds a stake in it:
+// DoContext executes (or recalls) one run, bounded by a per-call context —
+// the service daemon's end-to-end request deadline. It blocks until the
+// outcome is terminal; duplicate concurrent requests for the same key share
+// a single execution. The run executes under the pool context, but every
+// concurrent caller for the key holds a stake in it:
 // when ctx dies the caller gets a "canceled" outcome immediately, and when
 // the last interested caller is gone the in-flight run itself is cancelled
 // (a disconnected client must not keep burning a worker).
@@ -450,16 +445,6 @@ func (p *Pool) DoContext(ctx context.Context, cfg core.Config) Outcome {
 	}
 }
 
-// DoAll fans cfgs out across the worker pool and waits for every outcome;
-// outs[i] corresponds to cfgs[i]. Harnesses use it to warm the cache in
-// parallel before rendering tables serially (and deterministically) from
-// cache hits. When lane batching is enabled (Options.Lanes or per-config
-// Lanes >= 2) it coalesces same-configuration/different-seed requests into
-// lane-batched executions; see DoAllContext.
-func (p *Pool) DoAll(cfgs []core.Config) []Outcome {
-	return p.DoAllContext(context.Background(), cfgs)
-}
-
 // laneWidth resolves the effective lane-batch width for one config: the
 // config's own request, the pool default where the config is silent, floored
 // at one (solo).
@@ -483,15 +468,16 @@ func laneGroupKey(cfg core.Config) string {
 	return fmt.Sprintf("%s|%s|i%d", cfg.Name, cfg.Workload.Abbr, cfg.Workload.InstrsPerWarp)
 }
 
-// DoAllContext is DoAll bounded by a per-call context, with lane-batch
-// coalescing: requests that differ only in Seed (same lane group) and carry
-// an effective lane width >= 2 are chunked width seeds at a time into single
-// core.RunLanes executions. A chunk occupies ONE worker slot — its lanes
-// advance round-robin in one goroutine — and every member seed keeps its
-// solo identity end to end: its own cache Key, its own flight (so concurrent
-// Do/DoContext callers for the same seed share the batched execution), its
-// own journal record and its own Outcome, bit-identical to what a solo run
-// would have produced.
+// doAll fans cfgs out across the worker pool under a per-call context and
+// waits for every outcome; outs[i] corresponds to cfgs[i]. It coalesces
+// lane batches: requests that differ only in Seed (same lane group) and
+// carry an effective lane width >= 2 are chunked width seeds at a time into
+// single core.RunLanes executions. A chunk occupies ONE worker slot — its
+// lanes advance round-robin in one goroutine — and every member seed keeps
+// its solo identity end to end: its own cache Key, its own flight (so
+// concurrent DoContext callers for the same seed share the batched
+// execution), its own journal record and its own Outcome, bit-identical to
+// what a solo run would have produced.
 //
 // Everything the lane path cannot settle falls back to the solo path with
 // its full retry budget: duplicate keys, seeds already in flight elsewhere,
@@ -499,10 +485,7 @@ func laneGroupKey(cfg core.Config) string {
 // ("stall"/"timeout" with retries configured) — a retryable lane verdict is
 // deliberately NOT published, so the fallback re-executes it instead of
 // serving a DNF that solo execution would have retried away.
-func (p *Pool) DoAllContext(ctx context.Context, cfgs []core.Config) []Outcome {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (p *Pool) doAll(ctx context.Context, cfgs []core.Config) []Outcome {
 	outs := make([]Outcome, len(cfgs))
 	settled := make([]bool, len(cfgs))
 

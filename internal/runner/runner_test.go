@@ -57,13 +57,13 @@ func TestPoolMemoizesAndSingleflights(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); p.Do(cfg) }()
+		go func() { defer wg.Done(); p.DoContext(context.Background(), cfg) }()
 	}
 	wg.Wait()
 	if n := calls.Load(); n != 1 {
 		t.Errorf("8 concurrent identical requests executed %d times, want 1", n)
 	}
-	out := p.Do(cfg)
+	out := p.DoContext(context.Background(), cfg)
 	if !out.Cached {
 		t.Error("repeat request not served from cache")
 	}
@@ -82,7 +82,7 @@ func TestPanicIsolation(t *testing.T) {
 	cfgs := []core.Config{
 		testCfg(t, "a"), testCfg(t, "boom"), testCfg(t, "b"), testCfg(t, "c"),
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	ok := 0
 	var bad Outcome
 	for _, o := range outs {
@@ -117,7 +117,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 		}
 		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok", IPC: 2}, nil
 	}})
-	out := p.Do(testCfg(t, "flaky"))
+	out := p.DoContext(context.Background(), testCfg(t, "flaky"))
 	if !out.OK() {
 		t.Fatalf("flaky run did not recover: status %q", out.Result.Status)
 	}
@@ -130,7 +130,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	p := newPool(t, Options{Jobs: 1, Retries: 2, Run: func(_ context.Context, cfg core.Config) (core.Result, error) {
 		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "stall"}, nil
 	}})
-	out := p.Do(testCfg(t, "stuck"))
+	out := p.DoContext(context.Background(), testCfg(t, "stuck"))
 	if out.OK() || out.Result.Status != "stall" {
 		t.Fatalf("outcome = %+v, want stall DNF", out.Result)
 	}
@@ -146,7 +146,7 @@ func TestDeterministicVerdictsNeverRetried(t *testing.T) {
 			calls.Add(1)
 			return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: status}, nil
 		}})
-		out := p.Do(testCfg(t, "det-"+status))
+		out := p.DoContext(context.Background(), testCfg(t, "det-"+status))
 		if calls.Load() != 1 || out.Attempts != 1 {
 			t.Errorf("%s: executed %d times (attempts %d), want exactly 1", status, calls.Load(), out.Attempts)
 		}
@@ -157,7 +157,7 @@ func TestErrorBecomesDNFWithMessage(t *testing.T) {
 	p := newPool(t, Options{Jobs: 1, Run: func(_ context.Context, _ core.Config) (core.Result, error) {
 		return core.Result{}, errors.New("bad configuration: no MCs")
 	}})
-	out := p.Do(testCfg(t, "badcfg"))
+	out := p.DoContext(context.Background(), testCfg(t, "badcfg"))
 	if out.OK() {
 		t.Fatal("error outcome reported OK")
 	}
@@ -187,7 +187,7 @@ func TestRunTimeoutVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newPool(t, Options{Jobs: 2, RunTimeout: time.Second})
-	outs := p.DoAll([]core.Config{
+	outs := p.DoAllPlanned(context.Background(), []core.Config{
 		core.Baseline(bin).ScaleWork(0.05),
 		core.Baseline(mum),
 	})
@@ -216,12 +216,12 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	defer p.Close()
 	go func() { <-started; cancel() }()
-	out := p.Do(testCfg(t, "longrun"))
+	out := p.DoContext(context.Background(), testCfg(t, "longrun"))
 	if out.Result.Status != "canceled" {
 		t.Fatalf("status = %q, want canceled", out.Result.Status)
 	}
 	// Post-cancel requests must not execute at all.
-	out2 := p.Do(testCfg(t, "never"))
+	out2 := p.DoContext(context.Background(), testCfg(t, "never"))
 	if out2.Result.Status != "canceled" {
 		t.Errorf("post-cancel status = %q, want canceled", out2.Result.Status)
 	}
@@ -233,7 +233,7 @@ func TestDoAllPreservesOrder(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cfgs = append(cfgs, testCfg(t, fmt.Sprintf("cfg-%02d", i)))
 	}
-	outs := p.DoAll(cfgs)
+	outs := p.DoAllPlanned(context.Background(), cfgs)
 	for i, o := range outs {
 		if want := fmt.Sprintf("cfg-%02d", i); o.Result.Config != want {
 			t.Fatalf("outs[%d] = %s, want %s", i, o.Result.Config, want)
@@ -303,7 +303,7 @@ func TestPoolCapsShards(t *testing.T) {
 		testCfg(t, "auto").WithShards(core.ShardsAuto),
 		testCfg(t, "serial"), // Shards zero stays serial
 	}
-	p.DoAll(cfgs)
+	p.DoAllPlanned(context.Background(), cfgs)
 	share := runtime.GOMAXPROCS(0) / jobs
 	if share < 1 {
 		share = 1
@@ -330,8 +330,8 @@ func TestPoolDefaultShards(t *testing.T) {
 		seen.Store(cfg.Name, cfg.Shards)
 		return core.Result{Benchmark: cfg.Workload.Abbr, Config: cfg.Name, Status: "ok"}, nil
 	}})
-	p.Do(testCfg(t, "default"))
-	p.Do(testCfg(t, "explicit").WithShards(1))
+	p.DoContext(context.Background(), testCfg(t, "default"))
+	p.DoContext(context.Background(), testCfg(t, "explicit").WithShards(1))
 	want := CapShards(2, 1, 1, runtime.GOMAXPROCS(0))
 	if got, _ := seen.Load("default"); got.(int) != want {
 		t.Errorf("default config ran with %v shards, want %d (pool default, capped)", got, want)
@@ -439,7 +439,7 @@ func TestDoContextClientDisconnect(t *testing.T) {
 
 	// The canceled verdict must not poison the cache: a fresh request
 	// re-executes and completes.
-	out = p.Do(cfg)
+	out = p.DoContext(context.Background(), cfg)
 	if out.Cached || !out.OK() {
 		t.Fatalf("re-request after disconnect: cached=%v status=%q, want fresh ok run",
 			out.Cached, out.Result.Status)
@@ -510,7 +510,7 @@ func TestLookupHookServesExternalStore(t *testing.T) {
 			return Record{}, false
 		},
 	})
-	out := p.Do(cfg)
+	out := p.DoContext(context.Background(), cfg)
 	if !out.Resumed || out.Result.IPC != 7 || out.Attempts != 2 {
 		t.Fatalf("store hit not honoured: %+v", out)
 	}
@@ -519,7 +519,7 @@ func TestLookupHookServesExternalStore(t *testing.T) {
 	}
 	// Misses still execute.
 	other := testCfg(t, "fresh")
-	if out := p.Do(other); out.Resumed || !out.OK() {
+	if out := p.DoContext(context.Background(), other); out.Resumed || !out.OK() {
 		t.Fatalf("store miss mishandled: %+v", out)
 	}
 	if calls.Load() != 1 {

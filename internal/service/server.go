@@ -332,7 +332,7 @@ func (s *Server) lookupJob(id string) *Job {
 
 // runJob executes one admitted job: every run fans out through the pool
 // (which bounds real concurrency), under the job's deadline context. With
-// lane batching enabled the whole job goes through DoAllContext so
+// lane batching enabled the whole job goes through DoAllPlanned so
 // same-config multi-seed runs (Spec.Seeds) coalesce into lane batches;
 // per-run progress then lands when the batch settles, and the latency
 // histogram records the amortized per-run cost.
@@ -343,7 +343,7 @@ func (s *Server) runJob(j *Job) {
 	j.start()
 	if s.opts.Lanes >= 2 {
 		t0 := time.Now()
-		outs := s.pool.DoAllContext(j.ctx, j.cfgs)
+		outs := s.pool.DoAllPlanned(j.ctx, j.cfgs)
 		fresh := 0
 		for i, out := range outs {
 			if !out.Cached && !out.Resumed {

@@ -29,8 +29,8 @@ OUT="${2:-BENCH_$(date +%F).json}"
 	# work elision, not parallelism).
 	go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkShardedKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
 	# Sweep-planner microbenchmarks: a warm re-plan of an explorer-shaped
-	# sweep (alloc-gated at 0 allocs/op in CI) plus the naive-vs-planned
-	# submission comparison on a stub kernel.
+	# sweep (alloc-gated at 0 allocs/op in CI) plus the planned submission
+	# path on a stub kernel.
 	go test -run '^$' -bench 'BenchmarkSweepPlanner|BenchmarkSweepSubmission' -benchmem -benchtime 200x ./internal/runner/
 	# Class-representative figure benchmarks (hm_speedup metrics et al) and
 	# the idle-horizon fast-forward pairs, whose skip rows get a derived
