@@ -17,6 +17,7 @@ type MSHR struct {
 	capacity     int
 	maxPerEntry  int
 	entries      map[addr.Address][]Waiter
+	free         [][]Waiter // waiter slices released by Fill, reused by Allocate
 	mergedMisses uint64
 	peak         int
 }
@@ -31,6 +32,7 @@ func NewMSHR(capacity, maxPerEntry int) (*MSHR, error) {
 		capacity:    capacity,
 		maxPerEntry: maxPerEntry,
 		entries:     make(map[addr.Address][]Waiter, capacity),
+		free:        make([][]Waiter, 0, capacity),
 	}, nil
 }
 
@@ -72,7 +74,12 @@ func (m *MSHR) Allocate(line addr.Address, w Waiter) Outcome {
 	if len(m.entries) >= m.capacity {
 		return AllocStallFull
 	}
-	m.entries[line] = []Waiter{w}
+	var waiters []Waiter
+	if n := len(m.free); n > 0 {
+		waiters = m.free[n-1][:0]
+		m.free = m.free[:n-1]
+	}
+	m.entries[line] = append(waiters, w)
 	if len(m.entries) > m.peak {
 		m.peak = len(m.entries)
 	}
@@ -87,9 +94,14 @@ func (m *MSHR) Pending(line addr.Address) bool {
 
 // Fill completes the miss on line, releasing and returning all waiters.
 // Filling a line with no entry returns nil (harmless, e.g. after a flush).
+// The returned slice is recycled: it is valid only until the next Allocate.
 func (m *MSHR) Fill(line addr.Address) []Waiter {
-	waiters := m.entries[line]
+	waiters, ok := m.entries[line]
+	if !ok {
+		return nil
+	}
 	delete(m.entries, line)
+	m.free = append(m.free, waiters)
 	return waiters
 }
 

@@ -132,3 +132,25 @@ func TestMSHRPropertyConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestMSHRWarmCyclesDoNotAllocate(t *testing.T) {
+	// Once warm, allocate/merge/fill cycles reuse the waiter slices Fill
+	// released: no heap allocation per miss.
+	m := MustNewMSHR(64, 8)
+	base := addr.Address(0)
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			line := base + addr.Address(i*64)
+			m.Allocate(line, Waiter(i))
+			m.Allocate(line, Waiter(i+1))
+		}
+		for i := 0; i < 64; i++ {
+			m.Fill(base + addr.Address(i*64))
+		}
+		base += 64 * 64 // fresh lines every cycle
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("warm MSHR cycle allocates %v times, want 0", n)
+	}
+}

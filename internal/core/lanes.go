@@ -554,7 +554,7 @@ func (l *lane) maybeSkip() {
 	// very next tick, so this scan is the cheap early-out. A queued outbound
 	// request forces a real interconnect tick (injection). A core whose
 	// horizon is NeverCycle turns dormant until an external event wakes it,
-	// so later scans skip its warp tables.
+	// so later scans skip it.
 	coreNow := s.sched.Cycles(timing.DomainCore)
 	kCore := never
 	for i, c := range s.cores {

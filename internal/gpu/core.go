@@ -10,6 +10,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -76,15 +77,13 @@ type MemRequest struct {
 
 // warpState tracks one resident warp.
 type warpState struct {
-	pendingLines []addr.Address // accesses of the current memory instruction not yet issued
-	pendingWrite bool
-	outstanding  int  // line fetches in flight
-	atBarrier    bool // waiting for the rest of its CTA
-	done         bool
+	outstanding int  // line accesses queued or in flight
+	atBarrier   bool // waiting for the rest of its CTA
+	done        bool
 }
 
 func (w *warpState) ready() bool {
-	return !w.done && !w.atBarrier && w.outstanding == 0 && len(w.pendingLines) == 0
+	return !w.done && !w.atBarrier && w.outstanding == 0
 }
 
 // Stats counts core activity.
@@ -108,11 +107,17 @@ func (s Stats) IPC() float64 {
 }
 
 // Core is one SIMT compute core.
+//
+// A cycle costs O(1) in the number of warps: readiness is kept as a bitmask
+// (bit w set iff warps[w].ready()), recomputed only where a warp's state
+// changes, and the outstanding accesses of all warps as a running total.
 type Core struct {
-	cfg    Config
-	gen    *workload.Generator
-	warps  []warpState
-	rrNext int
+	cfg         Config
+	gen         *workload.Generator
+	warps       []warpState
+	ready       uint32 // bit w: warps[w].ready(); Profile.Validate caps warps at 32
+	outstanding int    // sum of warps[w].outstanding
+	rrNext      int
 
 	l1            *cache.Cache
 	mshr          *cache.MSHR
@@ -146,10 +151,12 @@ func New(cfg Config, gen *workload.Generator) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := gen.Profile().Warps
 	return &Core{
 		cfg:           cfg,
 		gen:           gen,
-		warps:         make([]warpState, gen.Profile().Warps),
+		warps:         make([]warpState, n),
+		ready:         uint32(1)<<n - 1,
 		l1:            l1,
 		mshr:          cache.MustNewMSHR(cfg.MSHRs, cfg.MSHRMergeCap),
 		pendingStores: make(map[addr.Address]bool),
@@ -179,63 +186,94 @@ func (c *Core) Tick() {
 
 // issue dispatches at most one warp instruction per WarpSize/SIMDWidth
 // cycles among ready warps, per the configured scheduling policy.
+//
+// Candidates are visited in a fixed scan order: for SchedRR the rotation
+// starting at rrNext; for SchedGTO the greedy warp rrNext, then the others
+// in age (index) order. A warp that runs dry during the scan may release CTA
+// peers at a barrier; a released peer is a candidate in this slot only if
+// the scan has not yet passed its position.
 func (c *Core) issue() {
 	if c.issueCooldown > 0 {
 		c.issueCooldown--
 		return
 	}
-	n := len(c.warps)
-	for k := 0; k < n; k++ {
-		w := c.pickWarp(k, n)
-		ws := &c.warps[w]
-		if !ws.ready() {
-			continue
+	// The scan walks positions from..31 of the ready mask rotated so that
+	// position 0 is warp start; skip removes a warp already tried.
+	start, skip := c.rrNext, uint32(0)
+	if c.cfg.Scheduler == SchedGTO {
+		if c.ready&(1<<c.rrNext) != 0 && c.tryIssue(c.rrNext) {
+			return
 		}
-		ins, ok := c.gen.Next(w)
-		if !ok {
-			ws.done = true
-			c.releaseBarrierIfComplete(w)
-			continue
+		start, skip = 0, 1<<c.rrNext
+	}
+	for from := 0; ; {
+		m := bits.RotateLeft32(c.ready&^skip, -start) & (^uint32(0) << from)
+		if m == 0 {
+			break
 		}
-		if c.cfg.Scheduler == SchedGTO {
-			c.rrNext = w // stay greedy on the issuing warp
-		} else {
-			c.rrNext = (w + 1) % n
+		p := bits.TrailingZeros32(m)
+		from = p + 1
+		if c.tryIssue((p + start) & 31) {
+			return
 		}
-		c.issueCooldown = c.cfg.WarpSize/c.cfg.SIMDWidth - 1
-		c.progress++
-		c.stats.WarpInstrs++
-		c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
-		switch {
-		case ins.Barrier:
-			c.stats.Barriers++
-			ws.atBarrier = true
-			c.releaseBarrierIfComplete(w)
-		case ins.Mem:
-			c.stats.MemInstrs++
-			ws.pendingLines = append(ws.pendingLines[:0], ins.Lines...)
-			ws.pendingWrite = ins.Write
-		}
-		return
 	}
 	c.stats.IssueStalls++
 }
 
-// pickWarp returns the k-th candidate warp for this issue slot: round-robin
-// rotation for SchedRR; for SchedGTO the current warp first, then warps in
-// age (index) order.
-func (c *Core) pickWarp(k, n int) int {
-	if c.cfg.Scheduler == SchedGTO {
-		if k == 0 {
-			return c.rrNext
-		}
-		idx := k - 1
-		if idx >= c.rrNext {
-			idx++ // oldest-first order, skipping the greedy warp tried at k==0
-		}
-		return idx % n
+// tryIssue issues warp w's next instruction. It returns false, marking the
+// warp done, when the warp's stream has run dry.
+func (c *Core) tryIssue(w int) bool {
+	ws := &c.warps[w]
+	ins, ok := c.gen.Next(w)
+	if !ok {
+		ws.done = true
+		c.updateReady(w)
+		c.releaseBarrierIfComplete(w)
+		return false
 	}
-	return (c.rrNext + k) % n
+	if c.cfg.Scheduler == SchedGTO {
+		c.rrNext = w // stay greedy on the issuing warp
+	} else {
+		c.rrNext = (w + 1) % len(c.warps)
+	}
+	c.issueCooldown = c.cfg.WarpSize/c.cfg.SIMDWidth - 1
+	c.progress++
+	c.stats.WarpInstrs++
+	c.stats.ScalarInstrs += uint64(ins.ActiveThreads)
+	switch {
+	case ins.Barrier:
+		c.stats.Barriers++
+		ws.atBarrier = true
+		c.updateReady(w)
+		c.releaseBarrierIfComplete(w)
+	case ins.Mem:
+		// The coalesced accesses enter the L1 port queue as one burst.
+		c.stats.MemInstrs++
+		for _, line := range ins.Lines {
+			c.memQ.Push(memAccess{warp: w, line: line, write: ins.Write})
+		}
+		ws.outstanding += len(ins.Lines)
+		c.outstanding += len(ins.Lines)
+		c.updateReady(w)
+	}
+	return true
+}
+
+// updateReady recomputes warp w's bit of the ready mask.
+func (c *Core) updateReady(w int) {
+	if c.warps[w].ready() {
+		c.ready |= 1 << w
+	} else {
+		c.ready &^= 1 << w
+	}
+}
+
+// retire completes one outstanding access of warp w.
+func (c *Core) retire(w int) {
+	c.outstanding--
+	if c.warps[w].outstanding--; c.warps[w].outstanding == 0 {
+		c.updateReady(w)
+	}
 }
 
 // releaseBarrierIfComplete frees warp w's CTA when every member has reached
@@ -244,6 +282,7 @@ func (c *Core) releaseBarrierIfComplete(w int) {
 	prof := c.gen.Profile()
 	if prof.CTAs <= 0 {
 		c.warps[w].atBarrier = false
+		c.updateReady(w)
 		return
 	}
 	size := len(c.warps) / prof.CTAs
@@ -256,21 +295,12 @@ func (c *Core) releaseBarrierIfComplete(w int) {
 	}
 	for i := lo; i < hi; i++ {
 		c.warps[i].atBarrier = false
+		c.updateReady(i)
 	}
 }
 
 // memoryUnit services one coalesced line access per cycle through the L1.
 func (c *Core) memoryUnit() {
-	// Move pending accesses of blocked warps into the L1 port queue
-	// (one warp's accesses enqueue as a burst, preserving coalescing).
-	for w := range c.warps {
-		ws := &c.warps[w]
-		for _, line := range ws.pendingLines {
-			c.memQ.Push(memAccess{warp: w, line: line, write: ws.pendingWrite})
-			ws.outstanding++
-		}
-		ws.pendingLines = ws.pendingLines[:0]
-	}
 	if c.memQ.Len() == 0 {
 		return
 	}
@@ -289,7 +319,7 @@ func (c *Core) memoryUnit() {
 func (c *Core) tryAccess(acc memAccess) bool {
 	c.stats.LineAccesses++
 	if c.l1.Access(acc.line, acc.write) {
-		c.warps[acc.warp].outstanding--
+		c.retire(acc.warp)
 		return true
 	}
 	// Miss: merge onto an in-flight fetch or start a new one.
@@ -323,7 +353,7 @@ func (c *Core) DeliverFill(line addr.Address) {
 		c.outQ.Push(MemRequest{Line: victim, Write: true})
 	}
 	for _, w := range c.mshr.Fill(line) {
-		c.warps[w].outstanding--
+		c.retire(int(w))
 	}
 }
 
@@ -344,15 +374,7 @@ func (c *Core) PeekRequest() (MemRequest, bool) {
 	return *c.outQ.Front(), true
 }
 
-func (c *Core) allWarpsIdle() bool {
-	for i := range c.warps {
-		ws := &c.warps[i]
-		if ws.outstanding > 0 || len(ws.pendingLines) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (c *Core) allWarpsIdle() bool { return c.outstanding == 0 }
 
 // flushDirty writes back all dirty L1 lines at kernel end (the baseline's
 // software-managed coherence flush, §II).
@@ -384,7 +406,8 @@ const NeverCycle = ^uint64(0)
 // that SkipAhead replays (cycle/cooldown/stall counters and blocked
 // front-of-memQ retries). Until that cycle — or an external DeliverFill /
 // PopRequest, which the caller must treat as invalidating — every Tick is
-// equivalent to a unit of SkipAhead.
+// equivalent to a unit of SkipAhead. It reads O(1) state: the ready mask,
+// the outstanding total and the L1 port queue.
 func (c *Core) NextWorkCycle() uint64 {
 	// End-of-kernel flush fires on the next tick.
 	if !c.flushed && c.gen.AllDone() && c.allWarpsIdle() && c.memQ.Len() == 0 {
@@ -395,16 +418,10 @@ func (c *Core) NextWorkCycle() uint64 {
 	if c.memQ.Len() > 0 && !c.memBlocked {
 		return c.stats.Cycles + 1
 	}
-	for i := range c.warps {
-		ws := &c.warps[i]
-		if len(ws.pendingLines) > 0 {
-			return c.stats.Cycles + 1
-		}
-		if ws.ready() {
-			// Issues (or discovers generator exhaustion) once the
-			// pipeline cooldown expires.
-			return c.stats.Cycles + uint64(c.issueCooldown) + 1
-		}
+	if c.ready != 0 {
+		// Some warp issues (or discovers generator exhaustion) once the
+		// pipeline cooldown expires.
+		return c.stats.Cycles + uint64(c.issueCooldown) + 1
 	}
 	// Every warp is done, at a barrier held open by a fill-waiting peer,
 	// or waiting on outstanding fetches; only DeliverFill wakes the core.

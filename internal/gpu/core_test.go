@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"fmt"
+	"hash"
 	"testing"
 
 	"repro/internal/addr"
@@ -33,6 +35,15 @@ func newTestCore(t *testing.T, p workload.Profile) *Core {
 // perfect memory and returns the stats.
 func runToCompletion(t *testing.T, c *Core, memLatency int, maxCycles int) Stats {
 	t.Helper()
+	return runFixedLatency(t, c, memLatency, maxCycles, nil)
+}
+
+// runFixedLatency is runToCompletion that also writes, when h is non-nil,
+// every popped request and the core's per-cycle observable state (Stats,
+// NextWorkCycle, Done) to h. It audits the core after every Tick,
+// PopRequest and DeliverFill.
+func runFixedLatency(t *testing.T, c *Core, memLatency int, maxCycles int, h hash.Hash64) Stats {
+	t.Helper()
 	type inflight struct {
 		line addr.Address
 		due  uint64
@@ -40,7 +51,12 @@ func runToCompletion(t *testing.T, c *Core, memLatency int, maxCycles int) Stats
 	var fills []inflight
 	for cyc := uint64(1); cyc <= uint64(maxCycles); cyc++ {
 		c.Tick()
+		auditCore(t, c)
 		for req, ok := c.PopRequest(); ok; req, ok = c.PopRequest() {
+			auditCore(t, c)
+			if h != nil {
+				fmt.Fprintf(h, "req %d %d %t\n", cyc, req.Line, req.Write)
+			}
 			if !req.Write {
 				fills = append(fills, inflight{line: req.Line, due: cyc + uint64(memLatency)})
 			}
@@ -49,11 +65,15 @@ func runToCompletion(t *testing.T, c *Core, memLatency int, maxCycles int) Stats
 		for _, f := range fills {
 			if f.due <= cyc {
 				c.DeliverFill(f.line)
+				auditCore(t, c)
 			} else {
 				kept = append(kept, f)
 			}
 		}
 		fills = kept
+		if h != nil {
+			fmt.Fprintf(h, "%+v %d %t\n", c.Stats(), c.NextWorkCycle(), c.Done())
+		}
 		if c.Done() {
 			return c.Stats()
 		}
@@ -61,6 +81,26 @@ func runToCompletion(t *testing.T, c *Core, memLatency int, maxCycles int) Stats
 	t.Fatalf("core did not finish in %d cycles (warps idle=%v, mshr=%d, outQ=%d)",
 		maxCycles, c.allWarpsIdle(), c.mshr.InFlight(), c.outQ.Len())
 	return Stats{}
+}
+
+// auditCore checks the core's incremental bookkeeping against a linear
+// recomputation: the ready mask, the running outstanding total and the
+// generator's count of finished warps.
+func auditCore(t *testing.T, c *Core) {
+	t.Helper()
+	var ready uint32
+	outstanding, allDone := 0, true
+	for w := range c.warps {
+		if c.warps[w].ready() {
+			ready |= 1 << w
+		}
+		outstanding += c.warps[w].outstanding
+		allDone = allDone && c.gen.Done(w)
+	}
+	if c.ready != ready || c.outstanding != outstanding || c.gen.AllDone() != allDone {
+		t.Fatalf("cycle %d: ready mask %#x, want %#x; outstanding %d, want %d; AllDone %v, want %v",
+			c.stats.Cycles, c.ready, ready, c.outstanding, outstanding, c.gen.AllDone(), allDone)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {

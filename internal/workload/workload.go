@@ -113,6 +113,7 @@ type Generator struct {
 	numCores uint64
 	wsLines  uint64 // working-set size in lines
 	scratch  []addr.Address
+	doneN    int // warps that have issued their last instruction
 }
 
 // NewGenerator builds the stream generator for one of numCores cores.
@@ -152,14 +153,7 @@ func (g *Generator) Profile() Profile { return g.prof }
 func (g *Generator) Done(w int) bool { return g.warps[w].issued >= g.prof.InstrsPerWarp }
 
 // AllDone reports whether every warp has finished.
-func (g *Generator) AllDone() bool {
-	for w := range g.warps {
-		if !g.Done(w) {
-			return false
-		}
-	}
-	return true
-}
+func (g *Generator) AllDone() bool { return g.doneN == len(g.warps) }
 
 // Next produces the next instruction of warp w. ok is false when the warp
 // has finished. The returned Lines slice is reused by the next call.
@@ -169,6 +163,9 @@ func (g *Generator) Next(w int) (ins Instr, ok bool) {
 	}
 	wg := &g.warps[w]
 	wg.issued++
+	if wg.issued == g.prof.InstrsPerWarp {
+		g.doneN++
+	}
 	ins.ActiveThreads = g.prof.ActiveThreads
 	if g.prof.BarrierEvery > 0 && wg.issued%g.prof.BarrierEvery == 0 && wg.issued < g.prof.InstrsPerWarp {
 		ins.Barrier = true

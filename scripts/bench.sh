@@ -28,6 +28,9 @@ OUT="${2:-BENCH_$(date +%F).json}"
 	# per-seed speedup_vs_l1 metric (valid on any host: lane batching is
 	# work elision, not parallelism).
 	go test -run '^$' -bench 'BenchmarkCycleKernel|BenchmarkShardedKernel|BenchmarkBackendKernel|BenchmarkLaneKernel' -benchmem -benchtime 2000x ./internal/noc/
+	# GPU core model: one core cycle on a never-ending LL and HH kernel
+	# against a fixed-latency memory (alloc-gated at 0 allocs/op in CI).
+	go test -run '^$' -bench 'BenchmarkCoreTick' -benchmem -benchtime 200000x ./internal/gpu/
 	# Sweep-planner microbenchmarks: a warm re-plan of an explorer-shaped
 	# sweep (alloc-gated at 0 allocs/op in CI) plus the planned submission
 	# path on a stub kernel.
