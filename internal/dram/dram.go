@@ -113,6 +113,7 @@ type Controller struct {
 	anyActed bool
 	busFree  uint64 // first cycle the data bus is free
 	inflight []inflight
+	done     []Request // completion batch Tick returns, reused every Tick
 	stats    Stats
 }
 
@@ -229,7 +230,8 @@ func max64(a, b uint64) uint64 {
 }
 
 // Tick advances one DRAM cycle and returns requests whose data transfer
-// completed this cycle.
+// completed this cycle. The batch lives in a buffer the controller reuses,
+// so it is valid only until the next Tick.
 func (c *Controller) Tick() []Request {
 	c.now++
 	if c.Busy() {
@@ -318,15 +320,15 @@ func (c *Controller) issue(q queued, rowHit bool) {
 }
 
 func (c *Controller) complete() []Request {
-	var done []Request
+	c.done = c.done[:0]
 	kept := c.inflight[:0]
 	for _, f := range c.inflight {
 		if f.doneAt <= c.now {
-			done = append(done, f.req)
+			c.done = append(c.done, f.req)
 		} else {
 			kept = append(kept, f)
 		}
 	}
 	c.inflight = kept
-	return done
+	return c.done
 }

@@ -238,3 +238,32 @@ func TestRowLocalityMetric(t *testing.T) {
 		t.Errorf("locality = %v, want 0.75", s.RowLocality())
 	}
 }
+
+// TestWarmCyclesDoNotAllocate keeps the queue fed with a mix of reads and
+// writes and counts every heap allocation over 400 warm cycles: the
+// completion batch lives in a buffer the controller reuses across Ticks.
+func TestWarmCyclesDoNotAllocate(t *testing.T) {
+	c := newTestController(t)
+	next := 0
+	step := func() {
+		for c.CanAccept() {
+			c.Enqueue(Request{Addr: addr.Address(next * 64 * 3), IsWrite: next%4 == 0})
+			next++
+		}
+		c.Tick()
+	}
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+	if c.Stats().Reads == 0 {
+		t.Fatal("warm-up completed no reads")
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 400; i++ {
+			step()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations over 400 warm DRAM cycles, want 0", allocs)
+	}
+}

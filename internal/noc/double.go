@@ -14,6 +14,10 @@ type Double struct {
 	balanced bool
 	overlap  bool    // tick the slices concurrently (cfg.Shards > 1)
 	rr       []uint8 // per-source slice rotation (balanced mode)
+
+	// merged holds, per node, the batch Delivered returns when both slices
+	// delivered in the same cycle; reused, so merging never allocates.
+	merged [][]*Packet
 }
 
 // NewDouble builds the paper's dedicated pair from cfg. cfg describes the
@@ -61,6 +65,7 @@ func newDouble(cfg Config, balanced bool) (*Double, error) {
 	if balanced {
 		d.rr = make([]uint8, cfg.Width*cfg.Height)
 	}
+	d.merged = make([][]*Packet, cfg.Width*cfg.Height)
 	return d, nil
 }
 
@@ -127,12 +132,21 @@ func (d *Double) Tick() {
 	}
 }
 
-// Delivered merges deliveries from both slices.
+// Delivered merges deliveries from both slices, slice 0 first. When only
+// one slice delivered, its batch is returned as is; a two-slice batch is
+// copied into a per-node buffer owned by d. Either way the result is valid
+// until the next Delivered call for node.
 func (d *Double) Delivered(node NodeID) []*Packet {
-	out := d.nets[0].Delivered(node)
-	if more := d.nets[1].Delivered(node); len(more) > 0 {
-		out = append(out, more...)
+	a := d.nets[0].Delivered(node)
+	b := d.nets[1].Delivered(node)
+	switch {
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
 	}
+	out := append(append(d.merged[node][:0], a...), b...)
+	d.merged[node] = out
 	return out
 }
 

@@ -201,3 +201,32 @@ func TestBalancedBeatsDedicatedOnReplyHeavyTraffic(t *testing.T) {
 			balanced, dedicated)
 	}
 }
+
+// TestDoubleWarmCyclesDoNotAllocate drives both double networks under the
+// request/reply protocol and counts every heap allocation over 40 warm
+// cycles: Delivered must hand back a slice's own batch, or merge into a
+// reused buffer, instead of growing a fresh array per reply batch.
+func TestDoubleWarmCyclesDoNotAllocate(t *testing.T) {
+	for _, balanced := range []bool{false, true} {
+		d, err := newDouble(DefaultConfig(), balanced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := newReqReply(d, d.Subnet(ClassRequest).Backend(), 8)
+		step := func() {
+			h.offer()
+			d.Tick()
+		}
+		for i := 0; i < 3000; i++ {
+			step()
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 40; i++ {
+				step()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("balanced=%v: %v allocations over 40 warm cycles, want 0", balanced, allocs)
+		}
+	}
+}

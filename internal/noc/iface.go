@@ -25,7 +25,6 @@ type netIface struct {
 	writers [][]injWriter // [injPort][vc]
 	pend    int           // queued packets + in-progress writers; injectStep is a no-op at 0
 	classRR int
-	asm     map[uint64]int
 
 	// delivered/spare double-buffer the per-tick delivery batch: Delivered
 	// swaps them instead of dropping the slice, so the steady state reuses
@@ -35,7 +34,7 @@ type netIface struct {
 }
 
 func newNetIface(node NodeID, rtr *router, net *meshNet) *netIface {
-	ni := &netIface{node: node, rtr: rtr, net: net, asm: make(map[uint64]int)}
+	ni := &netIface{node: node, rtr: rtr, net: net}
 	for c := range ni.srcQ {
 		ni.srcQ[c] = ring.New[*Packet](net.cfg.SrcQueueCap, net.cfg.SrcQueueCap)
 	}
@@ -139,21 +138,21 @@ func (ni *netIface) writeFlit(port int, w *injWriter, cycle uint64) {
 
 // ejectStep drains arrived flits and assembles packets. Flits of one packet
 // arrive in order, but packets on different VCs may interleave, so assembly
-// counts flits per packet ID. Latency observations are order-sensitive
-// float sums, so they are deferred into the shard's sample buffer and
-// replayed in serial (node-ascending) order by the cycle epilogue.
+// counts the ejected flits on each packet: every wire packet, retransmission
+// clones included, is its own Packet, and TryInject zeroes the count.
+// Latency observations are order-sensitive float sums, so they are deferred
+// into the shard's sample buffer and replayed in serial (node-ascending)
+// order by the cycle epilogue.
 func (ni *netIface) ejectStep(cycle uint64) {
 	sh := ni.rtr.sh
 	ni.rtr.drainEjected(cycle, func(f Flit) {
 		ni.net.stats.EjectedFlits[ni.node]++
 		sh.moves++
 		pkt := f.Pkt
-		got := ni.asm[pkt.ID] + 1
-		if got < pkt.flits {
-			ni.asm[pkt.ID] = got
+		pkt.ejected++
+		if pkt.ejected < pkt.flits {
 			return
 		}
-		delete(ni.asm, pkt.ID)
 		pkt.ArrivedAt = cycle
 		sh.assembled++
 		if ni.net.fs != nil && !ni.net.fs.onAssembled(ni.net, pkt) {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/xrand"
@@ -36,14 +37,14 @@ func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
 				t.Fatalf("router %d dir %v: no credit channel", id, d)
 			}
 			for vc := 0; vc < n.cfg.NumVCs; vc++ {
-				credits := r.outputs[d][vc].credits
+				credits := r.outputs[r.vcIdx(int(d), vc)].credits
 				onWire := 0
 				for i := 0; i < ch.q.Len(); i++ {
 					if ch.q.At(i).flit.VC == vc {
 						onWire++
 					}
 				}
-				buffered := down.inputs[ch.dstPort][vc].buf.Len()
+				buffered := down.inputs[down.vcIdx(ch.dstPort, vc)].buf.Len()
 				creditsBack := 0
 				for i := 0; i < back.q.Len(); i++ {
 					if back.q.At(i).vc == vc {
@@ -56,6 +57,51 @@ func checkCreditConservation(t *testing.T, m *Mesh, cycle int) {
 						cycle, id, d, vc, credits, onWire, buffered, creditsBack, total, depth)
 				}
 			}
+		}
+	}
+}
+
+// auditRouter checks the router's incremental work tracking against the
+// state it summarises: every VC mask bit must equal the predicate it stands
+// for, and busy must count the input VCs holding flits or allocation state.
+func auditRouter(r *router) error {
+	n := r.p.numVCs
+	names := [3]string{"rc", "va", "sa"}
+	busy := 0
+	for in := 0; in < r.nIn; in++ {
+		masks := [3]uint64{r.rcMask[in], r.vaMask[in], r.saMask[in]}
+		for k, m := range masks {
+			if m>>uint(n) != 0 {
+				return fmt.Errorf("router %d port %d: %sMask %#x has bits past VC %d", r.p.node, in, names[k], m, n-1)
+			}
+		}
+		for v := 0; v < n; v++ {
+			ivc := &r.inputs[r.vcIdx(in, v)]
+			full := ivc.buf.Len() > 0
+			if full || ivc.state != vcIdle {
+				busy++
+			}
+			want := [3]bool{ivc.state == vcIdle && full, ivc.state == vcWaitVA, ivc.state == vcActive && full}
+			for k, m := range masks {
+				if got := m>>uint(v)&1 == 1; got != want[k] {
+					return fmt.Errorf("router %d port %d vc %d (%s, %d flits): %sMask bit %v, want %v",
+						r.p.node, in, v, vcStateName(ivc.state), ivc.buf.Len(), names[k], got, want[k])
+				}
+			}
+		}
+	}
+	if busy != r.busy {
+		return fmt.Errorf("router %d: busy %d, but %d input VCs hold work", r.p.node, r.busy, busy)
+	}
+	return nil
+}
+
+// auditRouters runs auditRouter on every router of m.
+func auditRouters(t *testing.T, m *Mesh, cycle int) {
+	t.Helper()
+	for _, r := range m.routers {
+		if err := auditRouter(r); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 	}
 }
@@ -94,6 +140,7 @@ func TestCreditConservationUnderLoad(t *testing.T) {
 			m.Tick()
 			collectAll(m, topo.NumNodes())
 			checkCreditConservation(t, m, cycle)
+			auditRouters(t, m, cycle)
 		}
 	}
 }
@@ -150,7 +197,7 @@ func TestVCClassIsolation(t *testing.T) {
 		for id, r := range m.meshNet.routers {
 			for in := 0; in < r.nIn; in++ {
 				for vc := 0; vc < cfg.NumVCs; vc++ {
-					buf := &r.inputs[in][vc].buf
+					buf := &r.inputs[r.vcIdx(in, vc)].buf
 					for i := 0; i < buf.Len(); i++ {
 						f := buf.At(i)
 						wantVC := 0
@@ -191,7 +238,7 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 		for _, r := range m.meshNet.routers {
 			for in := 0; in < r.nIn; in++ {
 				for vc := 0; vc < cfg.NumVCs; vc++ {
-					buf := &r.inputs[in][vc].buf
+					buf := &r.inputs[r.vcIdx(in, vc)].buf
 					for i := 1; i < buf.Len(); i++ {
 						cur, prev := buf.At(i), buf.At(i-1)
 						if cur.Pkt == prev.Pkt {
@@ -221,5 +268,6 @@ func TestWormholeContiguityPerVC(t *testing.T) {
 		m.Tick()
 		collectAll(m, topo.NumNodes())
 		check()
+		auditRouters(t, m, cycle)
 	}
 }

@@ -15,8 +15,8 @@ import (
 //
 // Capture before/after numbers with scripts/bench.sh (emits BENCH_<date>.json).
 func BenchmarkCycleKernel(b *testing.B) {
-	b.Run("low-load", func(b *testing.B) { benchCycleKernel(b, DefaultConfig(), 1) })
-	b.Run("high-load", func(b *testing.B) { benchCycleKernel(b, DefaultConfig(), 8) })
+	b.Run("low-load", func(b *testing.B) { benchMeshKernel(b, DefaultConfig(), 1) })
+	b.Run("high-load", func(b *testing.B) { benchMeshKernel(b, DefaultConfig(), 8) })
 	b.Run("checkerboard", func(b *testing.B) {
 		cfg := DefaultConfig()
 		cfg.Checkerboard = true
@@ -24,7 +24,18 @@ func BenchmarkCycleKernel(b *testing.B) {
 		cfg.NumVCs = 4
 		cfg.MCs = CheckerboardPlacement(6, 6, 8)
 		cfg.MCInjPorts = 2
-		benchCycleKernel(b, cfg, 4)
+		benchMeshKernel(b, cfg, 4)
+	})
+	// The channel-sliced pairs of §IV-C: dedicated (requests on slice 0,
+	// replies on slice 1) and load-balanced. Delivered merges the slices'
+	// batches, so these rows keep the 0 allocs/op gate on that path too.
+	b.Run("double", func(b *testing.B) {
+		d := MustNewDouble(DefaultConfig())
+		benchCycleKernel(b, d, d.Subnet(ClassRequest).Backend(), 8)
+	})
+	b.Run("double-balanced", func(b *testing.B) {
+		d := MustNewDoubleBalanced(DefaultConfig())
+		benchCycleKernel(b, d, d.Subnet(ClassRequest).Backend(), 8)
 	})
 	// Convergence tail: the network drains after a burst, so most tiles are
 	// idle most cycles — the case active-component lists exist for.
@@ -54,7 +65,7 @@ func BenchmarkShardedKernel(b *testing.B) {
 			cfg := mesh.cfg
 			cfg.Shards = shards
 			b.Run(fmt.Sprintf("%s-s%d", mesh.name, shards), func(b *testing.B) {
-				benchCycleKernel(b, cfg, 8)
+				benchMeshKernel(b, cfg, 8)
 			})
 		}
 	}
@@ -86,7 +97,7 @@ func BenchmarkBackendKernel(b *testing.B) {
 		for _, dim := range []struct{ w, h int }{{6, 6}, {12, 12}} {
 			cfg := backendCfg(kind, dim.w, dim.h)
 			b.Run(fmt.Sprintf("%s-%dx%d", kind, dim.w, dim.h), func(b *testing.B) {
-				benchCycleKernel(b, cfg, 4)
+				benchMeshKernel(b, cfg, 4)
 			})
 		}
 	}
@@ -128,68 +139,16 @@ func BenchmarkLaneKernel(b *testing.B) {
 // b.N lockstep ticks.
 func benchLaneKernel(b *testing.B, cfg Config, lanes, outstanding int) {
 	ls := MustNewLaneSet(cfg, lanes)
-	backend := ls.Backend()
-	comp := backend.ComputeNodes()
-	mcs := backend.MCs()
-	pools := make([]PacketPool, lanes)
-	inflight := make([][]int, lanes)
-	backlog := make([][][]*Packet, lanes)
-	rr := make([]int, lanes)
-	for l := 0; l < lanes; l++ {
-		inflight[l] = make([]int, len(comp))
-		backlog[l] = make([][]*Packet, len(mcs))
-		for i := range backlog[l] {
-			backlog[l][i] = make([]*Packet, 0, outstanding*len(comp))
-		}
+	hs := make([]*reqReply, lanes)
+	for l := range hs {
+		hs[l] = newReqReply(ls.Lane(l), ls.Backend(), outstanding)
 	}
-
 	tick := func() {
-		for l := 0; l < lanes; l++ {
-			m := ls.Lane(l)
-			pool := &pools[l]
-			for i, c := range comp {
-				for inflight[l][i] < outstanding {
-					p := pool.Get()
-					p.Src, p.Dst = c, mcs[rr[l]%len(mcs)]
-					p.Class, p.Bytes = ClassRequest, 8
-					p.Line = uint64(i)
-					rr[l]++
-					if !m.TryInject(p) {
-						pool.Put(p)
-						break
-					}
-					inflight[l][i]++
-				}
-			}
-			for j, mc := range mcs {
-				for _, pkt := range m.Delivered(mc) {
-					r := pool.Get()
-					r.Src, r.Dst = mc, pkt.Src
-					r.Class, r.Bytes = ClassReply, 64
-					r.Line = pkt.Line
-					backlog[l][j] = append(backlog[l][j], r)
-					pool.Put(pkt)
-				}
-				q := backlog[l][j]
-				n := 0
-				for _, r := range q {
-					if !m.TryInject(r) {
-						break
-					}
-					n++
-				}
-				backlog[l][j] = q[:copy(q, q[n:])]
-			}
-			for _, c := range comp {
-				for _, pkt := range m.Delivered(c) {
-					inflight[l][pkt.Line]--
-					pool.Put(pkt)
-				}
-			}
+		for _, h := range hs {
+			h.offer()
 		}
 		ls.Tick()
 	}
-
 	for i := 0; i < 3000; i++ { // warm every lane to steady state
 		tick()
 	}
@@ -210,66 +169,101 @@ func benchLaneKernel(b *testing.B, cfg Config, lanes, outstanding int) {
 	}
 }
 
-// benchCycleKernel drives cfg with `outstanding` requests in flight per
+// reqReply is the closed-loop request/reply protocol the kernel benchmarks
+// and the allocator digests drive: every compute node keeps `outstanding`
+// 8-byte read requests in flight to the MC tiles (round-robin), and each MC
+// answers every request with a 64-byte reply from a backlog preallocated to
+// the in-flight bound. With the packet pool, the harness never allocates in
+// steady state, so allocs/op isolates the cycle kernel's own heap traffic.
+type reqReply struct {
+	net         Network
+	comp, mcs   []NodeID
+	outstanding int
+	pool        PacketPool
+	inflight    []int
+	backlog     [][]*Packet
+	rr          int
+
+	// onDeliver, when set, observes every delivered packet (MC requests,
+	// then compute-node replies) before it returns to the pool.
+	onDeliver func(node NodeID, p *Packet)
+}
+
+func newReqReply(net Network, backend Backend, outstanding int) *reqReply {
+	h := &reqReply{
+		net:         net,
+		comp:        backend.ComputeNodes(),
+		mcs:         backend.MCs(),
+		outstanding: outstanding,
+	}
+	h.inflight = make([]int, len(h.comp))
+	h.backlog = make([][]*Packet, len(h.mcs))
+	for i := range h.backlog {
+		h.backlog[i] = make([]*Packet, 0, outstanding*len(h.comp))
+	}
+	return h
+}
+
+// offer runs one cycle of the protocol's endpoints: top up every compute
+// node's requests, turn MC deliveries into queued replies and inject them,
+// and retire delivered replies. The caller ticks the network.
+func (h *reqReply) offer() {
+	m := h.net
+	for i, c := range h.comp {
+		for h.inflight[i] < h.outstanding {
+			p := h.pool.Get()
+			p.Src, p.Dst = c, h.mcs[h.rr%len(h.mcs)]
+			p.Class, p.Bytes = ClassRequest, 8
+			p.Line = uint64(i) // requester index rides in the typed payload
+			h.rr++
+			if !m.TryInject(p) {
+				h.pool.Put(p)
+				break
+			}
+			h.inflight[i]++
+		}
+	}
+	for j, mc := range h.mcs {
+		for _, pkt := range m.Delivered(mc) {
+			if h.onDeliver != nil {
+				h.onDeliver(mc, pkt)
+			}
+			r := h.pool.Get()
+			r.Src, r.Dst = mc, pkt.Src
+			r.Class, r.Bytes = ClassReply, 64
+			r.Line = pkt.Line
+			h.backlog[j] = append(h.backlog[j], r)
+			h.pool.Put(pkt)
+		}
+		q := h.backlog[j]
+		n := 0
+		for _, r := range q {
+			if !m.TryInject(r) {
+				break
+			}
+			n++
+		}
+		h.backlog[j] = q[:copy(q, q[n:])]
+	}
+	for _, c := range h.comp {
+		for _, pkt := range m.Delivered(c) {
+			if h.onDeliver != nil {
+				h.onDeliver(c, pkt)
+			}
+			h.inflight[pkt.Line]--
+			h.pool.Put(pkt)
+		}
+	}
+}
+
+// benchCycleKernel drives net with `outstanding` requests in flight per
 // compute node, warms the queues to steady state, then times b.N ticks.
-func benchCycleKernel(b *testing.B, cfg Config, outstanding int) {
-	m := MustNewMesh(cfg)
-	backend := m.Backend()
-	comp := backend.ComputeNodes()
-	mcs := backend.MCs()
-	var pool PacketPool
-	inflight := make([]int, len(comp))
-	// Reply backlog per MC, preallocated to the in-flight bound so the
-	// harness never allocates mid-measurement.
-	backlog := make([][]*Packet, len(mcs))
-	for i := range backlog {
-		backlog[i] = make([]*Packet, 0, outstanding*len(comp))
-	}
-	rr := 0
-
+func benchCycleKernel(b *testing.B, net Network, backend Backend, outstanding int) {
+	h := newReqReply(net, backend, outstanding)
 	tick := func() {
-		for i, c := range comp {
-			for inflight[i] < outstanding {
-				p := pool.Get()
-				p.Src, p.Dst = c, mcs[rr%len(mcs)]
-				p.Class, p.Bytes = ClassRequest, 8
-				p.Line = uint64(i) // requester index rides in the typed payload
-				rr++
-				if !m.TryInject(p) {
-					pool.Put(p)
-					break
-				}
-				inflight[i]++
-			}
-		}
-		for j, mc := range mcs {
-			for _, pkt := range m.Delivered(mc) {
-				r := pool.Get()
-				r.Src, r.Dst = mc, pkt.Src
-				r.Class, r.Bytes = ClassReply, 64
-				r.Line = pkt.Line
-				backlog[j] = append(backlog[j], r)
-				pool.Put(pkt)
-			}
-			q := backlog[j]
-			n := 0
-			for _, r := range q {
-				if !m.TryInject(r) {
-					break
-				}
-				n++
-			}
-			backlog[j] = q[:copy(q, q[n:])]
-		}
-		for _, c := range comp {
-			for _, pkt := range m.Delivered(c) {
-				inflight[pkt.Line]--
-				pool.Put(pkt)
-			}
-		}
-		m.Tick()
+		h.offer()
+		net.Tick()
 	}
-
 	for i := 0; i < 3000; i++ { // warm to steady state
 		tick()
 	}
@@ -279,10 +273,16 @@ func benchCycleKernel(b *testing.B, cfg Config, outstanding int) {
 		tick()
 	}
 	b.StopTimer()
-	st := m.Stats()
+	st := net.Stats()
 	if st.Cycles > 0 {
 		b.ReportMetric(float64(st.FlitHops)/float64(st.Cycles), "hops/cycle")
 	}
+}
+
+// benchMeshKernel is benchCycleKernel on a single network built from cfg.
+func benchMeshKernel(b *testing.B, cfg Config, outstanding int) {
+	m := MustNewMesh(cfg)
+	benchCycleKernel(b, m, m.Backend(), outstanding)
 }
 
 // benchDrainTail times the idle-dominated convergence tail: a short burst of

@@ -74,7 +74,7 @@ func TestPickRRWrapAfterLastIndexWin(t *testing.T) {
 func TestChannelPartialDelivery(t *testing.T) {
 	m := MustNewMesh(DefaultConfig())
 	ch := m.meshNet.flitChans[0]
-	buf := &ch.dst.inputs[ch.dstPort][0].buf
+	buf := &ch.dst.inputs[ch.dst.vcIdx(ch.dstPort, 0)].buf
 	ch.send(Flit{VC: 0, Head: true, Tail: true}, 3)
 	ch.send(Flit{VC: 0, Head: true, Tail: true}, 5)
 	ch.send(Flit{VC: 0, Head: true, Tail: true}, 9)
@@ -98,7 +98,7 @@ func TestChannelPartialDelivery(t *testing.T) {
 func TestCreditChannelOutOfOrderDues(t *testing.T) {
 	m := MustNewMesh(DefaultConfig())
 	cc := m.meshNet.credChans[0]
-	out := &cc.dst.outputs[cc.dstPort][0]
+	out := &cc.dst.outputs[cc.dst.vcIdx(cc.dstPort, 0)]
 	out.credits = 0 // make room so returned credits are countable
 	for _, due := range []uint64{5, 2, 9, 1} {
 		cc.send(0, due)

@@ -31,7 +31,8 @@ func collectAll(n Network, nodes int) []*Packet {
 func TestMeshConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.FlitBytes = 0 },
-		func(c *Config) { c.NumVCs = 3 }, // not divisible by class split
+		func(c *Config) { c.NumVCs = 3 },   // not divisible by class split
+		func(c *Config) { c.NumVCs = 128 }, // wider than the router's VC masks
 		func(c *Config) { c.BufDepth = 0 },
 		func(c *Config) { c.RouterStages = 0 },
 		func(c *Config) { c.MCInjPorts = 0 },

@@ -312,6 +312,9 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 	if cfg.FlitBytes <= 0 || cfg.BufDepth <= 0 || cfg.NumVCs <= 0 {
 		return nil, fmt.Errorf("noc: FlitBytes, BufDepth and NumVCs must be positive")
 	}
+	if cfg.NumVCs > maxVCs {
+		return nil, fmt.Errorf("noc: %d VCs exceed the router's %d-bit VC masks", cfg.NumVCs, maxVCs)
+	}
 	if cfg.RouterStages <= 0 || cfg.HalfRouterStages <= 0 {
 		return nil, fmt.Errorf("noc: router stages must be positive")
 	}
@@ -398,7 +401,7 @@ func newMeshNet(cfg Config, backend Backend) (*Mesh, error) {
 			n.routers[nb].credChans[int(d.opposite())] = cc
 			n.credChans = append(n.credChans, cc)
 			for v := 0; v < cfg.NumVCs; v++ {
-				r.outputs[d][v].credits = cfg.BufDepth
+				r.outputs[r.vcIdx(int(d), v)].credits = cfg.BufDepth
 			}
 		}
 	}
@@ -470,6 +473,7 @@ func (n *meshNet) TryInject(p *Packet) bool {
 		panic(err)
 	}
 	p.YXPhase, p.Intermediate = yx, inter
+	p.ejected = 0
 	p.ID = n.nextPkt
 	n.nextPkt++
 	p.OfferedAt = n.cycle

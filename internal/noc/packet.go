@@ -62,7 +62,8 @@ type Packet struct {
 	InjectedAt uint64 // when the head flit entered the injection buffer
 	ArrivedAt  uint64 // when the last flit was ejected
 
-	flits int // cached flit count
+	flits   int // cached flit count
+	ejected int // flits ejected at the destination so far (reassembly)
 
 	// Resilience state (used only when fault injection is enabled).
 	lid     uint64 // logical transfer id: wire ID of the first attempt

@@ -60,10 +60,10 @@ func (fs *faultState) tick(n *meshNet) {
 	if fs.inj.StickVC() {
 		r := n.routers[fs.inj.Pick(len(n.routers))]
 		port := fs.inj.Pick(r.nIn)
-		vc := fs.inj.Pick(r.p.numVCs)
+		idx := r.vcIdx(port, fs.inj.Pick(r.p.numVCs))
 		until := n.cycle + fs.cfg.StuckCycles
-		if r.stuck[port][vc] < until {
-			r.stuck[port][vc] = until
+		if r.stuck[idx] < until {
+			r.stuck[idx] = until
 		}
 		n.stats.StuckVCFaults++
 	}
@@ -248,10 +248,8 @@ func (n *meshNet) tripLivelock(pkt *Packet) {
 func (n *meshNet) inNetworkFlits() uint64 {
 	var total uint64
 	for _, r := range n.routers {
-		for in := range r.inputs {
-			for v := range r.inputs[in] {
-				total += uint64(r.inputs[in][v].buf.Len())
-			}
+		for i := range r.inputs {
+			total += uint64(r.inputs[i].buf.Len())
 		}
 		for e := range r.ejQ {
 			total += uint64(r.ejQ[e].Len())
@@ -307,37 +305,35 @@ func (n *meshNet) diagnose(kind string) *fault.Diagnostic {
 		d.LastMove = n.wd.LastMovement()
 	}
 	for _, r := range n.routers {
-		for in := range r.inputs {
-			for v := range r.inputs[in] {
-				ivc := &r.inputs[in][v]
-				if ivc.buf.Len() == 0 {
-					continue
-				}
-				head := *ivc.buf.Front()
-				age := n.cycle - head.Pkt.OfferedAt
-				if age > d.OldestPkt {
-					d.OldestPkt = age
-				}
-				dump := fault.VCDump{
-					Node:      int(r.p.node),
-					Port:      in,
-					VC:        v,
-					Occupancy: ivc.buf.Len(),
-					State:     vcStateName(ivc.state),
-					PktID:     head.Pkt.ID,
-					PktAge:    age,
-					Hops:      head.Pkt.hops,
-				}
-				switch {
-				case r.stuck != nil && r.stuck[in][v] > n.cycle:
-					dump.Blocked = fmt.Sprintf("stuck-VC fault until cycle %d", r.stuck[in][v])
-				case ivc.state == vcActive && !r.outputReady(ivc.outPort, ivc.outVC):
-					dump.Blocked = fmt.Sprintf("no credit for out port %d vc %d", ivc.outPort, ivc.outVC)
-				case ivc.state == vcWaitVA:
-					dump.Blocked = fmt.Sprintf("waiting for an output VC on port %d", ivc.outPort)
-				}
-				d.VCs = append(d.VCs, dump)
+		for i := range r.inputs {
+			ivc := &r.inputs[i]
+			if ivc.buf.Len() == 0 {
+				continue
 			}
+			head := *ivc.buf.Front()
+			age := n.cycle - head.Pkt.OfferedAt
+			if age > d.OldestPkt {
+				d.OldestPkt = age
+			}
+			dump := fault.VCDump{
+				Node:      int(r.p.node),
+				Port:      i / r.p.numVCs,
+				VC:        i % r.p.numVCs,
+				Occupancy: ivc.buf.Len(),
+				State:     vcStateName(ivc.state),
+				PktID:     head.Pkt.ID,
+				PktAge:    age,
+				Hops:      head.Pkt.hops,
+			}
+			switch {
+			case r.stuck != nil && r.stuck[i] > n.cycle:
+				dump.Blocked = fmt.Sprintf("stuck-VC fault until cycle %d", r.stuck[i])
+			case ivc.state == vcActive && !r.outputReady(ivc.outPort, ivc.outVC):
+				dump.Blocked = fmt.Sprintf("no credit for out port %d vc %d", ivc.outPort, ivc.outVC)
+			case ivc.state == vcWaitVA:
+				dump.Blocked = fmt.Sprintf("waiting for an output VC on port %d", ivc.outPort)
+			}
+			d.VCs = append(d.VCs, dump)
 		}
 	}
 	queued := 0

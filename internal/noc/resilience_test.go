@@ -35,6 +35,7 @@ func faultyTraffic(t *testing.T, cfg Config, packets int, seed uint64) *Mesh {
 			}
 		}
 		m.Tick()
+		auditRouters(t, m, cycle)
 		for _, p := range collectAll(m, topo.NumNodes()) {
 			if seen[p.lid] {
 				t.Fatalf("logical transfer %d delivered twice", p.lid)

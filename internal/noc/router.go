@@ -2,9 +2,14 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ring"
 )
+
+// maxVCs bounds Config.NumVCs at the width of the router's per-port VC
+// masks.
+const maxVCs = 64
 
 // vcState is the lifecycle of an input virtual channel.
 type vcState int
@@ -72,8 +77,22 @@ type router struct {
 	nIn  int // 4 dirs + nInj
 	nOut int // 4 dirs + nEj
 
-	inputs  [][]inVC // [inPort][vc]
-	outputs [][]outVC
+	// inputs and outputs are flat, indexed by vcIdx(port, vc); an output
+	// VC's index doubles as its VC-allocation key.
+	inputs  []inVC
+	outputs []outVC
+
+	// Per-input-port VC work masks, bit v standing for VC v:
+	//   rcMask: idle VCs with a buffered head, waiting for route computation;
+	//   vaMask: VCs in vcWaitVA;
+	//   saMask: vcActive VCs with at least one buffered flit.
+	// They change only where a VC's state or occupancy does (acceptFlit, the
+	// RC and VA transitions, traverse), so each allocation phase visits just
+	// the VCs that can act. Walking a mask's bits in ascending (port, VC)
+	// order is the order of a dense scan, so arbitration is unchanged.
+	rcMask []uint64
+	vaMask []uint64
+	saMask []uint64
 
 	outChans  []*channel       // per dir output port; nil at mesh edge
 	credChans []*creditChannel // per dir input port, back to upstream; nil at edge or terminal
@@ -87,9 +106,9 @@ type router struct {
 	busy    int
 	ejCount int
 
-	// stuck[port][vc] holds the cycle until which a stuck-VC fault freezes
-	// that input VC's switch allocation; nil when faults are disabled.
-	stuck [][]uint64
+	// stuck[vcIdx(port, vc)] holds the cycle until which a stuck-VC fault
+	// freezes that input VC's switch allocation; nil when faults are disabled.
+	stuck []uint64
 
 	// Round-robin pointers.
 	vaPtr    []int // per outPort*numVCs+outVC, over input index
@@ -112,21 +131,18 @@ func newRouter(p routerParams, net *meshNet) *router {
 	r.rcD, r.vaD, r.stD = pipeDelays(p.stages)
 	r.nIn = int(numDirs) + p.nInj
 	r.nOut = int(numDirs) + p.nEj
-	r.inputs = make([][]inVC, r.nIn)
+	r.inputs = make([]inVC, r.nIn*p.numVCs)
 	for i := range r.inputs {
-		r.inputs[i] = make([]inVC, p.numVCs)
-		for v := range r.inputs[i] {
-			r.inputs[i][v].outPort = -1
-			r.inputs[i][v].buf = ring.New[Flit](p.bufDepth, p.bufDepth)
-		}
+		r.inputs[i].outPort = -1
+		r.inputs[i].buf = ring.New[Flit](p.bufDepth, p.bufDepth)
 	}
-	r.outputs = make([][]outVC, r.nOut)
-	for o := range r.outputs {
-		r.outputs[o] = make([]outVC, p.numVCs)
-		for v := range r.outputs[o] {
-			r.outputs[o][v].owner = -1
-		}
+	r.outputs = make([]outVC, r.nOut*p.numVCs)
+	for i := range r.outputs {
+		r.outputs[i].owner = -1
 	}
+	r.rcMask = make([]uint64, r.nIn)
+	r.vaMask = make([]uint64, r.nIn)
+	r.saMask = make([]uint64, r.nIn)
 	r.outChans = make([]*channel, numDirs)
 	r.credChans = make([]*creditChannel, numDirs)
 	r.ejQ = make([]ring.Ring[flitEvent], p.nEj)
@@ -146,36 +162,42 @@ func newRouter(p routerParams, net *meshNet) *router {
 		r.saBids[i] = make([]int, 0, r.nIn)
 	}
 	if net != nil && net.fs != nil {
-		r.stuck = make([][]uint64, r.nIn)
-		for i := range r.stuck {
-			r.stuck[i] = make([]uint64, p.numVCs)
-		}
+		r.stuck = make([]uint64, r.nIn*p.numVCs)
 	}
 	return r
 }
 
-func (r *router) inIdx(port, vc int) int { return port*r.p.numVCs + vc }
+// vcIdx is the flat index of (port, vc) in inputs or outputs.
+func (r *router) vcIdx(port, vc int) int { return port*r.p.numVCs + vc }
 
 // acceptFlit enqueues an arriving flit into its input VC buffer. Credit
 // accounting upstream guarantees space; overflow means a protocol bug.
-// A flit landing on a fully idle VC is new work: it raises the busy count
-// and puts the router on the network's active list.
+// A flit landing on a fully idle VC is new work: it raises the busy count,
+// puts the router on the network's active list and waits for route
+// computation. A flit landing on an empty active VC makes it a switch
+// bidder again.
 func (r *router) acceptFlit(port int, f Flit, cycle uint64) {
-	ivc := &r.inputs[port][f.VC]
+	ivc := &r.inputs[r.vcIdx(port, f.VC)]
 	if ivc.buf.Full() {
 		panic(fmt.Sprintf("noc: router %d port %d vc %d buffer overflow", r.p.node, port, f.VC))
 	}
 	f.arrived = cycle
-	if ivc.buf.Len() == 0 && ivc.state == vcIdle {
-		r.busy++
-		r.sh.rtrActive.set(int(r.p.node))
+	if ivc.buf.Len() == 0 {
+		switch ivc.state {
+		case vcIdle:
+			r.busy++
+			r.sh.rtrActive.set(int(r.p.node))
+			r.rcMask[port] |= 1 << uint(f.VC)
+		case vcActive:
+			r.saMask[port] |= 1 << uint(f.VC)
+		}
 	}
 	ivc.buf.Push(f)
 }
 
 // acceptCredit returns a buffer slot for (output port, vc).
 func (r *router) acceptCredit(port, vc int) {
-	o := &r.outputs[port][vc]
+	o := &r.outputs[r.vcIdx(port, vc)]
 	o.credits++
 	if o.credits > r.p.bufDepth {
 		panic(fmt.Sprintf("noc: router %d port %d vc %d credit overflow", r.p.node, port, vc))
@@ -185,7 +207,7 @@ func (r *router) acceptCredit(port, vc int) {
 // injSpace reports free slots in an injection port VC buffer (used by the
 // network interface, which writes flits directly).
 func (r *router) injSpace(injPort, vc int) int {
-	return r.p.bufDepth - r.inputs[int(numDirs)+injPort][vc].buf.Len()
+	return r.p.bufDepth - r.inputs[r.vcIdx(int(numDirs)+injPort, vc)].buf.Len()
 }
 
 // injectFlit writes one flit into an injection buffer.
@@ -218,15 +240,18 @@ func (r *router) step(cycle uint64) {
 	r.switchAllocate(cycle)
 }
 
-// routeCompute processes new head flits at the front of idle VCs.
+// routeCompute processes new head flits at the front of idle VCs: every
+// VC in rcMask moves to vcWaitVA this cycle.
 func (r *router) routeCompute(cycle uint64) {
-	for in := 0; in < r.nIn; in++ {
-		for v := 0; v < r.p.numVCs; v++ {
-			ivc := &r.inputs[in][v]
-			if ivc.state != vcIdle || ivc.buf.Len() == 0 {
-				continue
-			}
-			head := *ivc.buf.Front()
+	n := r.p.numVCs
+	for in, m := range r.rcMask {
+		if m == 0 {
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
+			ivc := &r.inputs[in*n+v]
+			head := ivc.buf.Front()
 			if !head.Head {
 				panic(fmt.Sprintf("noc: router %d: non-head flit (pkt %d seq %d) at front of idle vc",
 					r.p.node, head.Pkt.ID, head.Seq))
@@ -252,6 +277,8 @@ func (r *router) routeCompute(cycle uint64) {
 				ivc.readyAt = cycle
 			}
 		}
+		r.vaMask[in] |= r.rcMask[in]
+		r.rcMask[in] = 0
 	}
 }
 
@@ -262,19 +289,21 @@ func (r *router) routeCompute(cycle uint64) {
 // order does not affect the outcome.
 func (r *router) vcAllocate(cycle uint64) {
 	n := r.p.numVCs
-	for in := 0; in < r.nIn; in++ {
-		for v := 0; v < n; v++ {
-			ivc := &r.inputs[in][v]
-			if ivc.state != vcWaitVA || ivc.readyAt > cycle {
+	for in, m := range r.vaMask {
+		for ; m != 0; m &= m - 1 {
+			idx := in*n + bits.TrailingZeros64(m)
+			ivc := &r.inputs[idx]
+			if ivc.readyAt > cycle {
 				continue
 			}
+			base := ivc.outPort * n
 			for _, ov := range ivc.allowed {
-				if r.outputs[ivc.outPort][ov].owner < 0 {
-					key := ivc.outPort*n + ov
+				key := base + ov
+				if r.outputs[key].owner < 0 {
 					if len(r.vaBids[key]) == 0 {
 						r.vaKeys = append(r.vaKeys, key)
 					}
-					r.vaBids[key] = append(r.vaBids[key], r.inIdx(in, v))
+					r.vaBids[key] = append(r.vaBids[key], idx)
 					break
 				}
 			}
@@ -282,14 +311,16 @@ func (r *router) vcAllocate(cycle uint64) {
 	}
 	for _, key := range r.vaKeys {
 		bidders := r.vaBids[key]
-		winner := pickRR(bidders, &r.vaPtr[key], r.nIn*n)
-		in, v := winner/n, winner%n
-		ivc := &r.inputs[in][v]
-		op, ov := key/n, key%n
-		r.outputs[op][ov].owner = winner
-		ivc.outVC = ov
+		winner := pickRR(bidders, &r.vaPtr[key], len(r.inputs))
+		ivc := &r.inputs[winner]
+		r.outputs[key].owner = winner
+		ivc.outVC = key % n
 		ivc.state = vcActive
 		ivc.readyAt = cycle + r.vaD
+		// The head is still buffered, so the VC becomes a switch bidder.
+		in, bit := winner/n, uint64(1)<<uint(winner%n)
+		r.vaMask[in] &^= bit
+		r.saMask[in] |= bit
 		r.vaBids[key] = bidders[:0]
 	}
 	r.vaKeys = r.vaKeys[:0]
@@ -301,43 +332,52 @@ func (r *router) vcAllocate(cycle uint64) {
 // send), so the iteration order must be deterministic for equal-seeded runs
 // to stay bit-identical.
 func (r *router) switchAllocate(cycle uint64) {
-	for in := 0; in < r.nIn; in++ {
-		v, ok := r.pickSAInput(in, cycle)
+	for in, m := range r.saMask {
+		if m == 0 {
+			continue
+		}
+		idx, ok := r.pickSAInput(in, m, cycle)
 		if !ok {
 			continue
 		}
-		out := r.inputs[in][v].outPort
-		r.saBids[out] = append(r.saBids[out], r.inIdx(in, v))
+		out := r.inputs[idx].outPort
+		r.saBids[out] = append(r.saBids[out], idx)
 	}
 	for out := 0; out < r.nOut; out++ {
 		bidders := r.saBids[out]
 		if len(bidders) == 0 {
 			continue
 		}
-		winner := pickRR(bidders, &r.saOutPtr[out], r.nIn*r.p.numVCs)
-		r.traverse(winner/r.p.numVCs, winner%r.p.numVCs, cycle)
+		winner := pickRR(bidders, &r.saOutPtr[out], len(r.inputs))
+		r.traverse(winner, cycle)
 		r.saBids[out] = bidders[:0]
 	}
 }
 
-// pickSAInput selects, round-robin, an eligible VC at input port in.
-func (r *router) pickSAInput(in int, cycle uint64) (int, bool) {
+// pickSAInput selects, round-robin, an eligible VC at input port in, whose
+// saMask is m, and returns its flat index. It walks m rotated at
+// saInPtr[in] — the bits at or after the pointer, then the wrapped ones —
+// which is the candidate order of a cyclic scan starting at the pointer.
+func (r *router) pickSAInput(in int, m, cycle uint64) (int, bool) {
 	n := r.p.numVCs
-	start := r.saInPtr[in]
-	for k := 0; k < n; k++ {
-		v := (start + k) % n
-		ivc := &r.inputs[in][v]
-		if ivc.state != vcActive || ivc.readyAt > cycle || ivc.buf.Len() == 0 {
-			continue
+	start := uint(r.saInPtr[in])
+	for _, part := range [2]uint64{m >> start << start, m & (1<<start - 1)} {
+		for ; part != 0; part &= part - 1 {
+			v := bits.TrailingZeros64(part)
+			idx := in*n + v
+			ivc := &r.inputs[idx]
+			if ivc.readyAt > cycle {
+				continue
+			}
+			if r.stuck != nil && r.stuck[idx] > cycle {
+				continue // transient stuck-VC fault freezes this VC's allocation
+			}
+			if !r.outputReady(ivc.outPort, ivc.outVC) {
+				continue
+			}
+			r.saInPtr[in] = (v + 1) % n
+			return idx, true
 		}
-		if r.stuck != nil && r.stuck[in][v] > cycle {
-			continue // transient stuck-VC fault freezes this VC's allocation
-		}
-		if !r.outputReady(ivc.outPort, ivc.outVC) {
-			continue
-		}
-		r.saInPtr[in] = (v + 1) % n
-		return v, true
 	}
 	return 0, false
 }
@@ -346,19 +386,22 @@ func (r *router) pickSAInput(in int, cycle uint64) (int, bool) {
 // a downstream credit for direction ports, a queue slot for ejection ports.
 func (r *router) outputReady(port, vc int) bool {
 	if port < int(numDirs) {
-		return r.outputs[port][vc].credits > 0
+		return r.outputs[r.vcIdx(port, vc)].credits > 0
 	}
 	return !r.ejQ[port-int(numDirs)].Full()
 }
 
-// traverse moves the front flit of (in, v) through the switch.
-func (r *router) traverse(in, v int, cycle uint64) {
-	ivc := &r.inputs[in][v]
+// traverse moves the front flit of input VC idx through the switch.
+func (r *router) traverse(idx int, cycle uint64) {
+	n := r.p.numVCs
+	in, v := idx/n, idx%n
+	ivc := &r.inputs[idx]
 	f := ivc.buf.Pop()
 	op, ov := ivc.outPort, ivc.outVC
+	o := &r.outputs[op*n+ov]
 	f.VC = ov
 	if op < int(numDirs) {
-		r.outputs[op][ov].credits--
+		o.credits--
 		r.outChans[op].send(f, cycle+r.stD+r.p.chanLat)
 	} else {
 		r.ejQ[op-int(numDirs)].Push(flitEvent{flit: f, due: cycle + r.stD})
@@ -375,14 +418,21 @@ func (r *router) traverse(in, v int, cycle uint64) {
 	if in < int(numDirs) && r.credChans[in] != nil {
 		r.credChans[in].send(v, cycle+r.p.credLat)
 	}
-	if f.Tail {
-		r.outputs[op][ov].owner = -1
+	bit := uint64(1) << uint(v)
+	switch {
+	case f.Tail:
+		o.owner = -1
 		ivc.state = vcIdle
 		ivc.outPort = -1
 		ivc.allowed = nil
-	}
-	if ivc.buf.Len() == 0 && ivc.state == vcIdle {
-		r.busy--
+		r.saMask[in] &^= bit
+		if ivc.buf.Len() > 0 {
+			r.rcMask[in] |= bit // the next packet's head is already buffered
+		} else {
+			r.busy--
+		}
+	case ivc.buf.Len() == 0:
+		r.saMask[in] &^= bit // holds its output VC, waits for body flits
 	}
 }
 
